@@ -72,12 +72,12 @@ QualityRow make_row(const SizeCase& cs, const ExperimentResult& cen,
   row.tasks = cs.tasks;
   worst_tracking(cen, cs.processors, &row.cen_err, &row.cen_sd);
   worst_tracking(dec, cs.processors, &row.dec_err, &row.dec_sd);
-  control::DecentralizedMpcController probe(
-      model, workloads::medium_controller_params(),
+  const auto probe = control::HierarchicalMpcController::decentralized(
+      control::sparsify(model), workloads::medium_controller_params(),
       cs.spec.initial_rate_vector());
   const auto horizon = static_cast<std::size_t>(
       workloads::medium_controller_params().control_horizon);
-  row.dec_vars = probe.max_local_problem_size() * horizon;
+  row.dec_vars = probe->max_shard_problem_size() * horizon;
   row.cen_vars = model.num_tasks() * horizon;
   return row;
 }

@@ -29,12 +29,13 @@ int main() {
 
   std::printf("\n");
   for (std::size_t p = 0; p < 4; ++p) {
+    const std::string proc = std::string("P").append(std::to_string(p + 1));
     checks.expect(metrics::acceptability(res, p, 60, 100).acceptable(),
-                  "P" + std::to_string(p + 1) + " settled before the first step");
+                  proc + " settled before the first step");
     checks.expect(metrics::acceptability(res, p, 160, 200).acceptable(),
-                  "P" + std::to_string(p + 1) + " re-converged after the +80% step");
+                  proc + " re-converged after the +80% step");
     checks.expect(metrics::acceptability(res, p, 260, 300).acceptable(),
-                  "P" + std::to_string(p + 1) + " re-converged after the -67% step");
+                  proc + " re-converged after the -67% step");
   }
   const int settle_up = metrics::settling_time(res, 0, 100, 0.07, 10);
   checks.expect(settle_up >= 0 && settle_up <= 30,

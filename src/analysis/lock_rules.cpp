@@ -131,8 +131,9 @@ std::vector<Finding> CallGraph::check_locks() const {
           const std::string m = LockGraph::qualify(callee, raw);
           if (std::find(held.begin(), held.end(), m) == held.end()) continue;
           report(fn.file, call.line, call.col, kOrderRule,
-                 "'" + LockGraph::display(callee.qname) + "' EUCON_EXCLUDES '" +
-                     m + "' but is reached with it held: " +
+                 std::string("'").append(LockGraph::display(callee.qname)) +
+                     "' EUCON_EXCLUDES '" + m +
+                     "' but is reached with it held: " +
                      lg.hold_chain(i, m) + " -> calls " +
                      LockGraph::display(callee.qname) + " (line " +
                      std::to_string(call.line) +

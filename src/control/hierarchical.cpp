@@ -33,15 +33,9 @@ HierarchicalMpcController::build_partition(std::size_t offset,
   // Tasks go to the shard of their owning processor (the shared
   // largest-entry / lowest-index rule); iterating tasks in order keeps
   // each shard's owned list ascending.
-  const OwnershipTopology topo = compute_ownership(model_.f);
+  const std::vector<std::size_t> owner = compute_ownership(model_.f);
   for (std::size_t j = 0; j < m; ++j)
-    shards[(topo.owner[j] + offset) / hier_.shard_size].owned.push_back(j);
-
-  // Row totals Σ_j f(q,j): the denominators of the diagnostic shares.
-  Vector row_total(n, 0.0);
-  for (std::size_t q = 0; q < n; ++q)
-    for (std::size_t k = model_.f.row_begin(q); k < model_.f.row_end(q); ++k)
-      row_total[q] += model_.f.value(k);
+    shards[(owner[j] + offset) / hier_.shard_size].owned.push_back(j);
 
   // pos[q] = qi + 1 while processor q sits at shard.rows[qi]; reused (and
   // cleared) across shards.
@@ -65,33 +59,22 @@ HierarchicalMpcController::build_partition(std::size_t offset,
 
     // Local plant: rows = observed processors, columns = owned tasks, both
     // ascending, scattered straight off the CSR columns (absent entries
-    // stay zero). The share numerator rides along: share · row_total[q] =
-    // Σ_{j owned here} f(q,j).
+    // stay zero).
     PlantModel local;
     local.f = Matrix(shard.rows.size(), shard.owned.size());
     local.b = Vector(shard.rows.size());
     local.rate_min = Vector(shard.owned.size());
     local.rate_max = Vector(shard.owned.size());
-    shard.share = Vector(shard.rows.size(), 0.0);
     Vector local_rates(shard.owned.size());
     for (std::size_t qi = 0; qi < shard.rows.size(); ++qi)
       local.b[qi] = model_.b[shard.rows[qi]];
     for (std::size_t ji = 0; ji < shard.owned.size(); ++ji) {
       const std::size_t j = shard.owned[ji];
-      for (std::size_t k = ft_.row_begin(j); k < ft_.row_end(j); ++k) {
-        const std::size_t qi = pos[ft_.col_index(k)] - 1;
-        local.f(qi, ji) = ft_.value(k);
-        shard.share[qi] += ft_.value(k);
-      }
+      for (std::size_t k = ft_.row_begin(j); k < ft_.row_end(j); ++k)
+        local.f(pos[ft_.col_index(k)] - 1, ji) = ft_.value(k);
       local.rate_min[ji] = model_.rate_min[j];
       local.rate_max[ji] = model_.rate_max[j];
       local_rates[ji] = rates_[j];
-    }
-    for (std::size_t qi = 0; qi < shard.rows.size(); ++qi) {
-      const double total = row_total[shard.rows[qi]];
-      EUCON_ASSERT(total > 0.0 && shard.share[qi] > 0.0,
-                   "observed row with no allocation");
-      shard.share[qi] /= total;
     }
     for (std::size_t q : shard.rows) pos[q] = 0;
 
@@ -113,17 +96,18 @@ HierarchicalMpcController::build_partition(std::size_t offset,
 HierarchicalMpcController::HierarchicalMpcController(SparsePlantModel model,
                                                      MpcParams params,
                                                      HierarchicalParams hier,
-                                                     Vector initial_rates)
-    : model_(std::move(model)), hier_(hier), rates_(std::move(initial_rates)) {
+                                                     Vector initial_rates,
+                                                     Sweep sweep)
+    : model_(std::move(model)),
+      hier_(hier),
+      sweep_(sweep),
+      rates_(std::move(initial_rates)) {
   model_.validate();
   hier_.validate();
   const std::size_t n = model_.num_processors();
   EUCON_REQUIRE(rates_.size() == model_.num_tasks(),
                 "initial rate vector size mismatch");
   rates_ = rates_.clamped(model_.rate_min, model_.rate_max);
-
-  shard_of_.resize(n);
-  for (std::size_t p = 0; p < n; ++p) shard_of_[p] = p / hier_.shard_size;
 
   // F^T's rows are F's columns — each task's processor list, ascending.
   // Kept as a member: the update sweep feeds each shard's rate moves
@@ -141,20 +125,32 @@ HierarchicalMpcController::HierarchicalMpcController(SparsePlantModel model,
     partitions_.push_back(build_partition(offset, params));
 }
 
+std::unique_ptr<HierarchicalMpcController>
+HierarchicalMpcController::decentralized(SparsePlantModel model,
+                                         MpcParams params,
+                                         Vector initial_rates) {
+  HierarchicalParams hier;
+  hier.shard_size = 1;
+  return std::make_unique<HierarchicalMpcController>(
+      std::move(model), params, hier, std::move(initial_rates),
+      Sweep::kJacobi);
+}
+
 const Vector& HierarchicalMpcController::update(const Vector& u) {
   EUCON_REQUIRE(u.size() == model_.num_processors(),
                 "utilization vector size mismatch");
-  // One Gauss–Seidel sweep over this period's partition (parity
-  // alternates between the base and staggered layouts): shards solve in
-  // index order against the prediction ũ, which starts at the measurement
-  // and absorbs each shard's commanded rate moves through the nominal
-  // plant (Δũ = F Δr, scattered off F^T's rows) before the next shard
-  // solves. Each shard therefore attacks the residual error its
-  // predecessors left — no double-actuation on boundary rows, and
-  // corrections cross every shard boundary within the period. γ < 1 hands
-  // each shard only part of the residual. All scratch is preallocated —
+  // One sweep over this period's partition (parity alternates between the
+  // base and staggered layouts): shards solve in index order against ũ,
+  // which starts at the measurement. Gauss–Seidel absorbs each shard's
+  // commanded rate moves into ũ through the nominal plant (Δũ = F Δr,
+  // scattered off F^T's rows) before the next shard solves, so each shard
+  // attacks the residual error its predecessors left — no double-actuation
+  // on boundary rows, and corrections cross every shard boundary within
+  // the period. Jacobi leaves ũ at the measurement for every shard. γ < 1
+  // hands each shard only part of the error. All scratch is preallocated —
   // steady-state periods never touch the heap.
   const double gain = hier_.coordination_gain;
+  const bool advance = sweep_ == Sweep::kGaussSeidel;
   std::vector<Shard>& shards = partitions_[period_ % partitions_.size()];
   ++period_;
   u_pred_ = u;
@@ -181,18 +177,13 @@ const Vector& HierarchicalMpcController::update(const Vector& u) {
     for (std::size_t ji = 0; ji < shard.owned.size(); ++ji) {
       const std::size_t j = shard.owned[ji];
       const double dr = r_local[ji] - rates_[j];
-      if (dr != 0.0)  // eucon-lint: allow(float-equality)
+      if (advance && dr != 0.0)  // eucon-lint: allow(float-equality)
         for (std::size_t k = ft_.row_begin(j); k < ft_.row_end(j); ++k)
           u_pred_[ft_.col_index(k)] += ft_.value(k) * dr;
       rates_[j] = r_local[ji];
     }
   }
   return rates_;
-}
-
-std::size_t HierarchicalMpcController::shard_of_processor(std::size_t p) const {
-  EUCON_REQUIRE(p < shard_of_.size(), "processor index out of range");
-  return shard_of_[p];
 }
 
 const std::vector<std::size_t>& HierarchicalMpcController::shard_tasks(
@@ -205,11 +196,6 @@ const std::vector<std::size_t>& HierarchicalMpcController::shard_rows(
     std::size_t s) const {
   EUCON_REQUIRE(s < num_shards(), "shard index out of range");
   return partitions_.front()[s].rows;
-}
-
-const Vector& HierarchicalMpcController::shard_row_shares(std::size_t s) const {
-  EUCON_REQUIRE(s < num_shards(), "shard index out of range");
-  return partitions_.front()[s].share;
 }
 
 std::size_t HierarchicalMpcController::max_shard_problem_size() const {

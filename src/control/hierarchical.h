@@ -1,26 +1,28 @@
-// Hierarchical (sharded) end-to-end utilization control.
+// Sharded end-to-end utilization control: one local MPC per shard of
+// processors, under a lightweight coordinator.
 //
-// The decentralized controller (control/decentralized.h) runs one local
-// MPC per task-owning processor — right for peer-to-peer deployments, but
-// at cluster scale (1k–10k processors) the per-node bookkeeping dominates
-// and most "neighborhoods" are near-identical slices of the same chains.
-// This module groups processors into contiguous SHARDS and runs one local
-// MPC per shard under a lightweight coordinator:
+// The paper's conclusion names a "decentralized control architecture to
+// handle large-scale systems" as future work; its published follow-on is
+// DEUCON (Wang, Lu, Koutsoukos). Both DEUCON and the cluster-scale HIER
+// are configurations of this one class — they differ only in the shard
+// size and in how a period's shards share the measurement (the SWEEP):
 //
-//   * tasks are owned exactly as in the decentralized architecture (the
-//     shared rule of control/topology.h: largest allocation entry, ties to
-//     the lowest processor index); a task belongs to the shard containing
-//     its owning processor, so shards partition the actuators;
+//   * tasks are OWNED by exactly one processor (the shared rule of
+//     control/topology.h: largest allocation entry, ties to the lowest
+//     processor index); a task belongs to the shard containing its owning
+//     processor, so shards partition the actuators and no two locals
+//     command the same rate;
 //   * a shard's local model is the dense sub-block of the sparse F over
 //     its ROWS (every processor its owned tasks touch — shard members and
 //     boundary processors alike, ascending) and its COLUMNS (owned tasks,
 //     ascending). The sub-block is read straight off the CSR structure;
 //     the global dense F is never materialized;
-//   * the COORDINATOR reconciles boundary processors that several shards
-//     observe with one Gauss–Seidel sweep per period. Shards update in
-//     index order against a PREDICTED utilization ũ that starts at the
-//     measurement and absorbs each earlier shard's rate moves through the
-//     nominal plant model (Δũ = F Δr, read off the CSR columns):
+//   * HIER (Sweep::kGaussSeidel, contiguous shards) reconciles boundary
+//     processors that several shards observe with one Gauss–Seidel sweep
+//     per period. Shards update in index order against a PREDICTED
+//     utilization ũ that starts at the measurement and absorbs each
+//     earlier shard's rate moves through the nominal plant model
+//     (Δũ = F Δr, read off the CSR columns):
 //
 //         shard s sees   ũ_q ← b_q − γ · (b_q − ũ_q)   over its rows,
 //
@@ -34,6 +36,13 @@
 //     settles to; γ < 1 damps how much of the residual each shard takes.
 //     A single all-covering shard sees the raw measurement and reduces
 //     the controller to the central MPC exactly;
+//   * DEUCON (Sweep::kJacobi, one-processor shards — decentralized())
+//     skips the prediction: every shard solves against the same measured
+//     u, as peer nodes sampling one epoch would, and treats the rates
+//     other shards own as constant over its horizon. Their moves reach it
+//     through the next measurement (the feedback lanes of Figure 1, now
+//     peer-to-peer). Each node solves an O(|owned| · M) problem instead
+//     of O(m · M), and only neighbor utilizations travel on the wire;
 //   * sweeps alternate between two STAGGERED partitions (the base one and
 //     a copy with boundaries shifted by half a shard, odd periods using
 //     the shifted one). A fixed partition can wedge against rate bounds:
@@ -44,14 +53,14 @@
 //     escapes those blocked equilibria and lands on the central
 //     fixpoint. Partitions share the actuators; each one's locals are
 //     resynchronized (MpcController::sync_rates, allocation-free) with
-//     the globally applied rates before they solve;
+//     the globally applied rates before they solve. One-processor shards
+//     have no staggered copy;
 //   * every local MPC solves its QP through ONE shared workspace sized to
 //     the largest shard (growth-only), so active-set scratch memory scales
 //     with the shard size, not with n.
 //
-// The per-period update is allocation-free after construction
-// (hierarchical steady-state allocation behaviour is covered with the
-// decentralized controller's by decentralized_alloc_test's idiom);
+// The per-period update is allocation-free after construction, under
+// either sweep (decentralized_alloc_test counts operator new);
 // bench_scaling reports the period cost against n up to 10k processors.
 #pragma once
 
@@ -78,30 +87,39 @@ struct HierarchicalParams {
   void validate() const;
 };
 
+// How a period's shards share the measurement (see the header comment).
+enum class Sweep {
+  kGaussSeidel,  // HIER: each shard solves against ũ advanced by its
+                 // predecessors' moves
+  kJacobi,       // DEUCON: every shard solves against the measured u
+};
+
 class HierarchicalMpcController final : public Controller {
  public:
   HierarchicalMpcController(SparsePlantModel model, MpcParams params,
                             HierarchicalParams hier,
-                            linalg::Vector initial_rates);
+                            linalg::Vector initial_rates,
+                            Sweep sweep = Sweep::kGaussSeidel);
+
+  // DEUCON: one-processor shards, Jacobi sweep, γ = 1.
+  static std::unique_ptr<HierarchicalMpcController> decentralized(
+      SparsePlantModel model, MpcParams params, linalg::Vector initial_rates);
 
   const linalg::Vector& update(const linalg::Vector& u) override EUCON_REALTIME;
-  std::string name() const override { return "HIER"; }
+  std::string name() const override {
+    return sweep_ == Sweep::kJacobi ? "DEUCON" : "HIER";
+  }
 
   // Introspection for tests and benches. Shard-level accessors describe
-  // the BASE partition; the staggered partition mirrors it with
-  // boundaries shifted by shard_size / 2.
+  // the BASE partition, where shard s holds processors
+  // [s · shard_size, (s + 1) · shard_size); the staggered partition
+  // mirrors it with boundaries shifted by shard_size / 2.
   std::size_t num_shards() const { return partitions_.front().size(); }
-  std::size_t shard_of_processor(std::size_t p) const;
   // Tasks owned by shard s (global task indices, ascending).
   const std::vector<std::size_t>& shard_tasks(std::size_t s) const;
   // Rows shard s observes (global processor indices, ascending; includes
   // boundary processors outside the shard).
   const std::vector<std::size_t>& shard_rows(std::size_t s) const;
-  // Shard s's allocation share of each of its rows (same order):
-  // Σ_{j owned by s} f(q,j) / Σ_all j f(q,j). Shares sum to one over the
-  // shards seeing a row; < 1 marks a boundary row. Diagnostic — the sweep
-  // hands shards residuals, not share-scaled errors.
-  const linalg::Vector& shard_row_shares(std::size_t s) const;
   // Decision variables of the largest local optimization.
   std::size_t max_shard_problem_size() const;
   // Capacity of the shared QP workspace (variables, constraint rows).
@@ -111,7 +129,6 @@ class HierarchicalMpcController final : public Controller {
   struct Shard {
     std::vector<std::size_t> owned;  // global task indices, ascending
     std::vector<std::size_t> rows;   // global processor indices, ascending
-    linalg::Vector share;            // allocation share per local row
     linalg::Vector u_scratch;        // reconciled measurement buffer
     linalg::Vector r_scratch;        // rate resync gather buffer
     std::unique_ptr<MpcController> local;
@@ -121,13 +138,13 @@ class HierarchicalMpcController final : public Controller {
 
   SparsePlantModel model_;
   HierarchicalParams hier_;
+  Sweep sweep_;
   // partitions_[0] is the base partition; partitions_[1], present unless
   // the base is a single all-covering shard (or shard_size == 1), has its
   // boundaries shifted by shard_size / 2. update() alternates.
   std::vector<std::vector<Shard>> partitions_;
-  std::vector<std::size_t> shard_of_;  // processor -> base shard index
   linalg::SparseMatrix ft_;     // F^T: per-task processor lists (CSR rows)
-  linalg::Vector u_pred_;       // sweep prediction, advanced shard by shard
+  linalg::Vector u_pred_;       // sweep input; Gauss–Seidel advances it
   std::size_t period_ = 0;      // parity selects the sweep partition
   qp::QpWorkspace shared_ws_;   // one workspace for every local QP
   linalg::Vector rates_;

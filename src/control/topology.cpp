@@ -4,12 +4,10 @@
 
 namespace eucon::control {
 
-OwnershipTopology compute_ownership(const linalg::SparseMatrix& f) {
+std::vector<std::size_t> compute_ownership(const linalg::SparseMatrix& f) {
   const std::size_t n = f.rows();
   const std::size_t m = f.cols();
-  OwnershipTopology topo;
-  topo.owner.assign(m, 0);
-  topo.owned.assign(n, {});
+  std::vector<std::size_t> owners(m, 0);
 
   // F^T's rows are F's columns: each task's processor list, ascending. The
   // strict `>` comparison over ascending indices realizes the documented
@@ -27,10 +25,9 @@ OwnershipTopology compute_ownership(const linalg::SparseMatrix& f) {
     EUCON_REQUIRE(owner < n,
                   "task " + std::to_string(j) +
                       " touches no processor (all-zero allocation column)");
-    topo.owner[j] = owner;
-    topo.owned[owner].push_back(j);
+    owners[j] = owner;
   }
-  return topo;
+  return owners;
 }
 
 }  // namespace eucon::control

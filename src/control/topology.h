@@ -1,9 +1,9 @@
-// Task-ownership topology shared by the decentralized (per-processor) and
-// hierarchical (per-shard) controllers.
+// Task-ownership topology of the sharded controller (control/hierarchical.h)
+// in both its per-processor (DEUCON) and per-shard (HIER) configurations.
 //
 // Ownership partitions the actuators: every task is commanded by exactly
 // one controller, the one responsible for the processor that OWNS the
-// task. The rule, stated once here so both architectures agree:
+// task. The rule, stated once here so every configuration agrees:
 //
 //   owner(j) = the processor with the largest allocation entry f(i, j);
 //   exact ties break to the LOWEST processor index.
@@ -21,15 +21,9 @@
 
 namespace eucon::control {
 
-struct OwnershipTopology {
-  std::vector<std::size_t> owner;  // task j -> owning processor
-  std::vector<std::vector<std::size_t>> owned;  // processor -> owned tasks,
-                                                // ascending task index
-};
-
-// Computes the ownership partition from the n×m allocation matrix in
+// Computes owner(j) for every task j from the n×m allocation matrix in
 // sparse form: O(nnz), no dense column scans. Throws (naming the task)
 // when a column is all zero or holds no positive entry.
-OwnershipTopology compute_ownership(const linalg::SparseMatrix& f);
+std::vector<std::size_t> compute_ownership(const linalg::SparseMatrix& f);
 
 }  // namespace eucon::control

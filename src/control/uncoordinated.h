@@ -36,7 +36,7 @@ class UncoordinatedFcsController final : public Controller {
   std::string name() const override { return "FCS-IND"; }
 
   // Which processor each task is rooted on (largest allocation share —
-  // the same deterministic rule the decentralized controller uses).
+  // the ownership rule of control/topology.h).
   const std::vector<std::size_t>& roots() const { return root_; }
 
  private:

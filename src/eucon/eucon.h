@@ -18,7 +18,6 @@
 #include "control/admission.h"
 #include "control/controller.h"
 #include "control/gain_estimator.h"
-#include "control/decentralized.h"
 #include "control/diagnostics.h"
 #include "control/hierarchical.h"
 #include "control/linear_plant.h"

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "control/adaptive.h"
-#include "control/decentralized.h"
 #include "control/open_loop.h"
 #include "eucon/feedback_lane.h"
 
@@ -51,8 +50,8 @@ std::unique_ptr<control::Controller> make_controller(
     case ControllerKind::kPid:
       return std::make_unique<control::PidController>(model, config.pid, r0);
     case ControllerKind::kDecentralized:
-      return std::make_unique<control::DecentralizedMpcController>(
-          model, config.mpc, r0);
+      return control::HierarchicalMpcController::decentralized(
+          control::sparsify(model), config.mpc, r0);
     case ControllerKind::kAdaptive:
       return std::make_unique<control::AdaptiveMpcController>(model,
                                                               config.mpc, r0);
@@ -161,8 +160,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     injector = std::make_unique<faults::FaultInjector>(config.faults, n,
                                                        config.sim.seed);
   // Actuation is modeled as one rate-command message per owning processor
-  // per period (owner = host of the task's first subtask, the decentralized
-  // architecture's convention); the plan can delay or drop those messages.
+  // per period (owner = host of the task's first subtask); the plan can
+  // delay or drop those messages. This is not control/topology.h's
+  // largest-entry rule, which the sharded controllers use; the two differ
+  // on some MEDIUM and LARGE tasks (docs/robustness.md).
   std::vector<std::size_t> owner(config.spec.num_tasks(), 0);
   std::vector<unsigned char> owner_has(n, 0);
   if (faults_on) {
@@ -316,8 +317,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         case faults::DegradePolicy::kDecentralized:
           if (backup == nullptr) {
             in_flight.clear();
-            backup = std::make_unique<control::DecentralizedMpcController>(
-                model, config.mpc, applied);
+            backup = control::HierarchicalMpcController::decentralized(
+                control::sparsify(model), config.mpc, applied);
           }
           applied = backup->update(u_seen);
           sim.set_rates(applied.data());

@@ -30,10 +30,12 @@ enum class ControllerKind {
   kEucon,          // centralized MPC (the paper)
   kOpen,           // open-loop baseline (§7.1)
   kPid,            // per-processor PID baseline (§6.1 ablation)
-  kDecentralized,  // per-processor local MPCs (the paper's future work)
+  kDecentralized,  // DEUCON: one-processor shards, Jacobi sweep (the
+                   // paper's future work)
   kAdaptive,       // MPC with on-line gain estimation (self-tuning EUCON)
   kUncoordinated,  // independent per-processor FCS (the §2 strawman)
-  kHierarchical,   // sharded local MPCs + boundary coordinator (cluster scale)
+  kHierarchical,   // HIER: contiguous shards, Gauss–Seidel sweep (cluster
+                   // scale)
 };
 
 const char* controller_kind_name(ControllerKind kind);

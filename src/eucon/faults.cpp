@@ -1,11 +1,11 @@
 #include "eucon/faults.h"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "eucon/json_reader.h"
 
 namespace eucon::faults {
 
@@ -75,302 +75,100 @@ void FaultPlan::validate(int num_processors) const {
 }
 
 // ---------------------------------------------------------------------------
-// Plan parsing: a minimal recursive-descent JSON reader scoped to the plan
-// schema (docs/robustness.md). Self-contained so the CLI needs no external
-// JSON dependency; errors carry the byte offset for one-line diagnostics.
+// Plan parsing against the plan schema (docs/robustness.md), through the
+// shared JSON reader; errors carry the byte offset for one-line
+// diagnostics.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonValue {
-  enum class Kind { kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNumber;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> items;                            // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;  // kObject
-};
+constexpr json::Schema kPlan("fault plan", /*allow_empty_arrays=*/true);
 
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    EUCON_FAIL_INVALID("fault plan JSON: " + what + " at byte " +
-                       std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = string_body();
-      return v;
-    }
-    if (consume_literal("true")) {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = false;
-      return v;
-    }
-    return number();
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: fail("unsupported string escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      const bool numeric = (c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                           c == 'E' || c == '-' || c == '+';
-      if (!numeric) break;
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string tok = text_.substr(start, pos_ - start);
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    std::istringstream in(tok);
-    in >> v.number;
-    if (in.fail() || !in.eof() || !std::isfinite(v.number))
-      fail("malformed number '" + tok + "'");
-    return v;
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string_body();
-      expect(':');
-      v.members.emplace_back(std::move(key), value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-[[noreturn]] void plan_error(const std::string& what) {
-  EUCON_FAIL_INVALID("fault plan: " + what);
-}
-
-double as_number(const JsonValue& v, const std::string& key) {
-  if (v.kind != JsonValue::Kind::kNumber) plan_error(key + " must be a number");
-  return v.number;
-}
-
-int as_int(const JsonValue& v, const std::string& key) {
-  const double d = as_number(v, key);
-  const double rounded = std::floor(d + 0.5);
-  if (std::abs(d - rounded) > 1e-9 || std::abs(d) > 1e15)
-    plan_error(key + " must be an integer");
-  return static_cast<int>(rounded);
-}
-
-std::uint64_t as_u64(const JsonValue& v, const std::string& key) {
-  const double d = as_number(v, key);
-  if (d < 0.0 || std::abs(d - std::floor(d + 0.5)) > 1e-9 || d > 1e15)
-    plan_error(key + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(d + 0.5);
-}
-
-const std::vector<JsonValue>& as_array(const JsonValue& v,
-                                       const std::string& key) {
-  if (v.kind != JsonValue::Kind::kArray) plan_error(key + " must be an array");
-  return v.items;
-}
-
-// Walks an object's members against a fixed key list via `handle(key,
-// value) -> bool`; any unhandled key is an error so typos never silently
-// disable a fault source.
-template <typename Fn>
-void for_each_member(const JsonValue& v, const std::string& what, Fn handle) {
-  if (v.kind != JsonValue::Kind::kObject)
-    plan_error(what + " must be an object");
-  for (const auto& [key, value] : v.members) {
-    if (!handle(key, value))
-      plan_error("unknown key \"" + key + "\" in " + what);
-  }
-}
-
-GilbertElliott parse_gilbert_elliott(const JsonValue& v) {
+GilbertElliott parse_gilbert_elliott(const json::Value& v) {
   GilbertElliott ge;
   // A configured block means "model on": loss_bad defaults to 1 and p_exit
   // to 1 (single-period bursts) unless overridden.
-  for_each_member(v, "gilbert_elliott",
-                  [&](const std::string& key, const JsonValue& val) {
-                    if (key == "p_enter") ge.p_enter = as_number(val, key);
-                    else if (key == "p_exit") ge.p_exit = as_number(val, key);
-                    else if (key == "loss_good") ge.loss_good = as_number(val, key);
-                    else if (key == "loss_bad") ge.loss_bad = as_number(val, key);
-                    else return false;
-                    return true;
-                  });
+  kPlan.for_each_member(
+      v, "gilbert_elliott", [&](const std::string& key, const json::Value& val) {
+        if (key == "p_enter") ge.p_enter = kPlan.number(val, key);
+        else if (key == "p_exit") ge.p_exit = kPlan.number(val, key);
+        else if (key == "loss_good") ge.loss_good = kPlan.number(val, key);
+        else if (key == "loss_bad") ge.loss_bad = kPlan.number(val, key);
+        else return false;
+        return true;
+      });
   return ge;
 }
 
 }  // namespace
 
-FaultPlan parse_fault_plan(const std::string& json) {
-  JsonReader reader(json);
-  const JsonValue root = reader.parse();
+FaultPlan parse_fault_plan(const std::string& text) {
+  const json::Value root = kPlan.parse(text);
   FaultPlan plan;
-  for_each_member(root, "plan", [&](const std::string& key, const JsonValue& v) {
+  kPlan.for_each_member(root, "plan", [&](const std::string& key,
+                                          const json::Value& v) {
     if (key == "seed") {
-      plan.seed = as_u64(v, key);
+      plan.seed = kPlan.u64(v, key);
     } else if (key == "gilbert_elliott") {
       plan.lane_loss = parse_gilbert_elliott(v);
     } else if (key == "actuation_loss") {
-      plan.actuation_loss = as_number(v, key);
+      plan.actuation_loss = kPlan.number(v, key);
     } else if (key == "actuation_delay") {
-      plan.actuation_delay = as_int(v, key);
+      plan.actuation_delay = kPlan.integer(v, key);
     } else if (key == "lane_outages") {
-      for (const JsonValue& item : as_array(v, key)) {
+      for (const json::Value& item : kPlan.array(v, key)) {
         LaneOutage o;
-        for_each_member(item, "lane_outages entry",
-                        [&](const std::string& k2, const JsonValue& v2) {
-                          if (k2 == "lane") o.lane = as_int(v2, k2);
-                          else if (k2 == "start") o.start = as_int(v2, k2);
-                          else if (k2 == "duration") o.duration = as_int(v2, k2);
-                          else return false;
-                          return true;
-                        });
+        kPlan.for_each_member(
+            item, "lane_outages entry",
+            [&](const std::string& k2, const json::Value& v2) {
+              if (k2 == "lane") o.lane = kPlan.integer(v2, k2);
+              else if (k2 == "start") o.start = kPlan.integer(v2, k2);
+              else if (k2 == "duration") o.duration = kPlan.integer(v2, k2);
+              else return false;
+              return true;
+            });
         plan.lane_outages.push_back(o);
       }
     } else if (key == "actuation_outages") {
-      for (const JsonValue& item : as_array(v, key)) {
+      for (const json::Value& item : kPlan.array(v, key)) {
         ActuationOutage o;
-        for_each_member(item, "actuation_outages entry",
-                        [&](const std::string& k2, const JsonValue& v2) {
-                          if (k2 == "processor") o.processor = as_int(v2, k2);
-                          else if (k2 == "start") o.start = as_int(v2, k2);
-                          else if (k2 == "duration") o.duration = as_int(v2, k2);
-                          else return false;
-                          return true;
-                        });
+        kPlan.for_each_member(
+            item, "actuation_outages entry",
+            [&](const std::string& k2, const json::Value& v2) {
+              if (k2 == "processor") o.processor = kPlan.integer(v2, k2);
+              else if (k2 == "start") o.start = kPlan.integer(v2, k2);
+              else if (k2 == "duration") o.duration = kPlan.integer(v2, k2);
+              else return false;
+              return true;
+            });
         plan.actuation_outages.push_back(o);
       }
     } else if (key == "overload_spikes") {
-      for (const JsonValue& item : as_array(v, key)) {
+      for (const json::Value& item : kPlan.array(v, key)) {
         OverloadSpike s;
-        for_each_member(item, "overload_spikes entry",
-                        [&](const std::string& k2, const JsonValue& v2) {
-                          if (k2 == "processor") s.processor = as_int(v2, k2);
-                          else if (k2 == "start") s.start = as_int(v2, k2);
-                          else if (k2 == "duration") s.duration = as_int(v2, k2);
-                          else if (k2 == "exec") s.exec_units = as_number(v2, k2);
-                          else return false;
-                          return true;
-                        });
+        kPlan.for_each_member(
+            item, "overload_spikes entry",
+            [&](const std::string& k2, const json::Value& v2) {
+              if (k2 == "processor") s.processor = kPlan.integer(v2, k2);
+              else if (k2 == "start") s.start = kPlan.integer(v2, k2);
+              else if (k2 == "duration") s.duration = kPlan.integer(v2, k2);
+              else if (k2 == "exec") s.exec_units = kPlan.number(v2, k2);
+              else return false;
+              return true;
+            });
         plan.overload_spikes.push_back(s);
       }
     } else if (key == "controller_blackouts") {
-      for (const JsonValue& item : as_array(v, key)) {
+      for (const json::Value& item : kPlan.array(v, key)) {
         ControllerBlackout b;
-        for_each_member(item, "controller_blackouts entry",
-                        [&](const std::string& k2, const JsonValue& v2) {
-                          if (k2 == "start") b.start = as_int(v2, k2);
-                          else if (k2 == "duration") b.duration = as_int(v2, k2);
-                          else return false;
-                          return true;
-                        });
+        kPlan.for_each_member(
+            item, "controller_blackouts entry",
+            [&](const std::string& k2, const json::Value& v2) {
+              if (k2 == "start") b.start = kPlan.integer(v2, k2);
+              else if (k2 == "duration") b.duration = kPlan.integer(v2, k2);
+              else return false;
+              return true;
+            });
         plan.blackouts.push_back(b);
       }
     } else {

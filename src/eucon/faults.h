@@ -92,7 +92,7 @@ struct FaultPlan {
 
   // I.i.d. per-processor per-period loss of the actuation message carrying
   // that processor's owned-task rates (owner = host of the task's first
-  // subtask, as in the decentralized architecture).
+  // subtask).
   double actuation_loss = 0.0;
   // Every actuation message arrives this many sampling periods late (0 =
   // the paper's assumption). Complements SimOptions::feedback_lane_delay,

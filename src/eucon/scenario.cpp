@@ -1,6 +1,5 @@
 #include "eucon/scenario.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include "common/check.h"
 #include "common/csv.h"
 #include "common/rng.h"
+#include "eucon/json_reader.h"
 
 namespace eucon::scenario {
 
@@ -233,253 +233,37 @@ ControllerKind parse_controller_kind(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario parsing: the same dependency-free recursive-descent reader style
-// as faults.cpp, with one addition — numbers keep their raw token text so
-// embedded fault-plan objects can be re-rendered byte-faithfully and handed
-// to faults::parse_fault_plan (one schema, one validator).
+// Scenario parsing through the shared JSON reader. Numbers keep their raw
+// token text, so embedded fault-plan objects are re-rendered
+// byte-faithfully and handed to faults::parse_fault_plan (one schema, one
+// validator). Unlike a fault plan, a scenario rejects empty arrays: an
+// empty axis would silently collapse the grid.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonValue {
-  enum class Kind { kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNumber;
-  bool boolean = false;
-  double number = 0.0;
-  std::string number_text;  // raw token, for byte-faithful re-rendering
-  std::string string;
-  std::vector<JsonValue> items;                            // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;  // kObject
-};
+constexpr json::Schema kScenario("scenario", /*allow_empty_arrays=*/false);
 
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    EUCON_FAIL_INVALID("scenario JSON: " + what + " at byte " +
-                       std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = string_body();
-      return v;
-    }
-    if (consume_literal("true")) {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = false;
-      return v;
-    }
-    return number();
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: fail("unsupported string escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      const bool numeric = (c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                           c == 'E' || c == '-' || c == '+';
-      if (!numeric) break;
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string tok = text_.substr(start, pos_ - start);
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number_text = tok;
-    std::istringstream in(tok);
-    in >> v.number;
-    if (in.fail() || !in.eof() || !std::isfinite(v.number))
-      fail("malformed number '" + tok + "'");
-    return v;
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string_body();
-      expect(':');
-      v.members.emplace_back(std::move(key), value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-[[noreturn]] void scenario_error(const std::string& what) {
-  EUCON_FAIL_INVALID("scenario: " + what);
-}
-
-double as_number(const JsonValue& v, const std::string& key) {
-  if (v.kind != JsonValue::Kind::kNumber)
-    scenario_error(key + " must be a number");
-  return v.number;
-}
-
-int as_int(const JsonValue& v, const std::string& key) {
-  const double d = as_number(v, key);
-  const double rounded = std::floor(d + 0.5);
-  if (std::abs(d - rounded) > 1e-9 || std::abs(d) > 1e15)
-    scenario_error(key + " must be an integer");
-  return static_cast<int>(rounded);
-}
-
-std::uint64_t as_u64(const JsonValue& v, const std::string& key) {
-  const double d = as_number(v, key);
-  if (d < 0.0 || std::abs(d - std::floor(d + 0.5)) > 1e-9 || d > 1e15)
-    scenario_error(key + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(d + 0.5);
-}
-
-const std::string& as_string(const JsonValue& v, const std::string& key) {
-  if (v.kind != JsonValue::Kind::kString)
-    scenario_error(key + " must be a string");
-  return v.string;
-}
-
-const std::vector<JsonValue>& as_array(const JsonValue& v,
-                                       const std::string& key) {
-  if (v.kind != JsonValue::Kind::kArray)
-    scenario_error(key + " must be an array");
-  if (v.items.empty()) scenario_error(key + " must not be an empty array");
-  return v.items;
-}
-
-std::vector<double> as_number_array(const JsonValue& v,
+std::vector<double> as_number_array(const json::Value& v,
                                     const std::string& key) {
   std::vector<double> out;
-  for (const JsonValue& item : as_array(v, key))
-    out.push_back(as_number(item, key + " entry"));
+  for (const json::Value& item : kScenario.array(v, key))
+    out.push_back(kScenario.number(item, key + " entry"));
   return out;
-}
-
-// Walks an object's members against a fixed key list via `handle(key,
-// value) -> bool`; any unhandled key is an error so a typoed axis never
-// silently collapses the grid.
-template <typename Fn>
-void for_each_member(const JsonValue& v, const std::string& what, Fn handle) {
-  if (v.kind != JsonValue::Kind::kObject)
-    scenario_error(what + " must be an object");
-  for (const auto& [key, value] : v.members) {
-    if (!handle(key, value))
-      scenario_error("unknown key \"" + key + "\" in " + what);
-  }
 }
 
 // Re-renders a parsed value as compact JSON. Number tokens are emitted
 // verbatim, so the round trip through faults::parse_fault_plan sees exactly
 // the bytes the scenario file carried.
-void render_json(const JsonValue& v, std::string& out) {
+void render_json(const json::Value& v, std::string& out) {
   switch (v.kind) {
-    case JsonValue::Kind::kBool:
+    case json::Value::Kind::kBool:
       out += v.boolean ? "true" : "false";
       return;
-    case JsonValue::Kind::kNumber:
+    case json::Value::Kind::kNumber:
       out += v.number_text;
       return;
-    case JsonValue::Kind::kString:
+    case json::Value::Kind::kString:
       out += '"';
       for (const char c : v.string) {
         switch (c) {
@@ -493,7 +277,7 @@ void render_json(const JsonValue& v, std::string& out) {
       }
       out += '"';
       return;
-    case JsonValue::Kind::kArray:
+    case json::Value::Kind::kArray:
       out += '[';
       for (std::size_t i = 0; i < v.items.size(); ++i) {
         if (i > 0) out += ',';
@@ -501,7 +285,7 @@ void render_json(const JsonValue& v, std::string& out) {
       }
       out += ']';
       return;
-    case JsonValue::Kind::kObject:
+    case json::Value::Kind::kObject:
       out += '{';
       for (std::size_t i = 0; i < v.members.size(); ++i) {
         if (i > 0) out += ',';
@@ -515,22 +299,26 @@ void render_json(const JsonValue& v, std::string& out) {
   }
 }
 
-RandomFamily parse_random_family(const JsonValue& v) {
+RandomFamily parse_random_family(const json::Value& v) {
   RandomFamily family;
-  for_each_member(
-      v, "random_workloads", [&](const std::string& key, const JsonValue& val) {
-        if (key == "count") family.count = as_int(val, key);
+  workloads::RandomWorkloadParams& params = family.params;
+  kScenario.for_each_member(
+      v, "random_workloads",
+      [&](const std::string& key, const json::Value& val) {
+        if (key == "count") family.count = kScenario.integer(val, key);
         else if (key == "processors")
-          family.params.num_processors = as_int(val, key);
-        else if (key == "tasks") family.params.num_tasks = as_int(val, key);
-        else if (key == "min_chain") family.params.min_chain = as_int(val, key);
-        else if (key == "max_chain") family.params.max_chain = as_int(val, key);
-        else if (key == "min_exec") family.params.min_exec = as_number(val, key);
-        else if (key == "max_exec") family.params.max_exec = as_number(val, key);
+          params.num_processors = kScenario.integer(val, key);
+        else if (key == "tasks") params.num_tasks = kScenario.integer(val, key);
+        else if (key == "min_chain")
+          params.min_chain = kScenario.integer(val, key);
+        else if (key == "max_chain")
+          params.max_chain = kScenario.integer(val, key);
+        else if (key == "min_exec") params.min_exec = kScenario.number(val, key);
+        else if (key == "max_exec") params.max_exec = kScenario.number(val, key);
         else if (key == "min_period")
-          family.params.min_period = as_number(val, key);
+          params.min_period = kScenario.number(val, key);
         else if (key == "max_period")
-          family.params.max_period = as_number(val, key);
+          params.max_period = kScenario.number(val, key);
         else return false;
         return true;
       });
@@ -539,31 +327,30 @@ RandomFamily parse_random_family(const JsonValue& v) {
 
 }  // namespace
 
-Scenario parse_scenario(const std::string& json) {
-  JsonReader reader(json);
-  const JsonValue root = reader.parse();
+Scenario parse_scenario(const std::string& text) {
+  const json::Value root = kScenario.parse(text);
   Scenario sc;
-  for_each_member(root, "scenario", [&](const std::string& key,
-                                        const JsonValue& v) {
+  kScenario.for_each_member(root, "scenario", [&](const std::string& key,
+                                                  const json::Value& v) {
     if (key == "name") {
-      sc.name = as_string(v, key);
+      sc.name = kScenario.string(v, key);
     } else if (key == "seed") {
-      sc.seed = as_u64(v, key);
+      sc.seed = kScenario.u64(v, key);
     } else if (key == "periods") {
-      sc.periods = as_int(v, key);
+      sc.periods = kScenario.integer(v, key);
     } else if (key == "sampling_period") {
-      sc.sampling_period = as_number(v, key);
+      sc.sampling_period = kScenario.number(v, key);
     } else if (key == "replicas") {
-      sc.replicas = as_int(v, key);
+      sc.replicas = kScenario.integer(v, key);
     } else if (key == "controllers") {
-      for (const JsonValue& item : as_array(v, key))
-        sc.controllers.push_back(
-            parse_controller_kind(as_string(item, "controllers entry")));
+      for (const json::Value& item : kScenario.array(v, key))
+        sc.controllers.push_back(parse_controller_kind(
+            kScenario.string(item, "controllers entry")));
     } else if (key == "workloads") {
-      for (const JsonValue& item : as_array(v, key)) {
-        const std::string& name = as_string(item, "workloads entry");
+      for (const json::Value& item : kScenario.array(v, key)) {
+        const std::string& name = kScenario.string(item, "workloads entry");
         if (!is_builtin(name))
-          scenario_error("unknown workload \"" + name + "\"");
+          kScenario.fail("unknown workload \"" + name + "\"");
         sc.workload_names.push_back(name);
       }
     } else if (key == "random_workloads") {
@@ -575,13 +362,13 @@ Scenario parse_scenario(const std::string& json) {
     } else if (key == "loss") {
       sc.loss = as_number_array(v, key);
     } else if (key == "distributions") {
-      for (const JsonValue& item : as_array(v, key))
-        sc.distributions.push_back(
-            parse_distribution(as_string(item, "distributions entry")));
+      for (const json::Value& item : kScenario.array(v, key))
+        sc.distributions.push_back(parse_distribution(
+            kScenario.string(item, "distributions entry")));
     } else if (key == "fault_plans") {
-      for (const JsonValue& item : as_array(v, key)) {
-        if (item.kind != JsonValue::Kind::kObject)
-          scenario_error("fault_plans entries must be objects");
+      for (const json::Value& item : kScenario.array(v, key)) {
+        if (item.kind != json::Value::Kind::kObject)
+          kScenario.fail("fault_plans entries must be objects");
         std::string rendered;
         render_json(item, rendered);
         sc.fault_plans.push_back(faults::parse_fault_plan(rendered));

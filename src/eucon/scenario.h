@@ -76,7 +76,7 @@ const char* distribution_name(rts::ExecDistribution distribution);
 // Accepts "uniform", "exponential", "bimodal"; throws otherwise.
 rts::ExecDistribution parse_distribution(const std::string& name);
 // Accepts the CLI controller spellings ("eucon", "open", "pid", "deucon",
-// "adaptive", "fcs-ind"); throws std::invalid_argument otherwise.
+// "adaptive", "fcs-ind", "hier"); throws std::invalid_argument otherwise.
 ControllerKind parse_controller_kind(const std::string& name);
 
 // The task set of workload-axis entry `workload` (0-based: built-ins in

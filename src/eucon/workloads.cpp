@@ -89,7 +89,7 @@ SystemSpec large() {
   int proc = 0;
   for (int i = 0; i < 8; ++i) {  // eight 3-chains
     const int p0 = proc % 8, p1 = (proc + 1) % 8, p2 = (proc + 3) % 8;
-    s.tasks.push_back(task("L" + std::to_string(i + 1),
+    s.tasks.push_back(task(std::string("L").append(std::to_string(i + 1)),
                            {{p0, 10.0 + i}, {p1, 12.0 + (i % 3)},
                             {p2, 9.0 + (i % 4)}},
                            max_p, min_p, init_p));
@@ -97,7 +97,7 @@ SystemSpec large() {
   }
   for (int i = 0; i < 12; ++i) {  // twelve 2-chains
     const int p0 = (proc + i) % 8, p1 = (proc + i + 2) % 8;
-    s.tasks.push_back(task("L" + std::to_string(9 + i),
+    s.tasks.push_back(task(std::string("L").append(std::to_string(9 + i)),
                            {{p0, 11.0 + (i % 5)}, {p1, 10.0 + (i % 4)}},
                            max_p, min_p, init_p));
   }
@@ -107,8 +107,9 @@ SystemSpec large() {
   int local_id = 21;
   for (int p = 0; p < 8; ++p) {
     while (counts[static_cast<std::size_t>(p)] < 7) {
-      s.tasks.push_back(task("L" + std::to_string(local_id++),
-                             {{p, 14.0 + p}}, max_p, min_p, init_p));
+      s.tasks.push_back(
+          task(std::string("L").append(std::to_string(local_id++)),
+               {{p, 14.0 + p}}, max_p, min_p, init_p));
       ++counts[static_cast<std::size_t>(p)];
     }
   }
@@ -143,7 +144,7 @@ SystemSpec random_workload(const RandomWorkloadParams& params,
   s.num_processors = params.num_processors;
   for (int i = 0; i < params.num_tasks; ++i) {
     TaskSpec t;
-    t.name = "R" + std::to_string(i + 1);
+    t.name = std::string("R").append(std::to_string(i + 1));
     const int chain =
         static_cast<int>(rng.uniform_int(params.min_chain, params.max_chain));
     // Walk across distinct processors where possible so chains actually
@@ -187,7 +188,7 @@ SystemSpec chain_cluster(const ChainClusterParams& params,
   s.tasks.reserve(static_cast<std::size_t>(m));
   for (int t = 0; t < m; ++t) {
     TaskSpec task;
-    task.name = "C" + std::to_string(t + 1);
+    task.name = std::string("C").append(std::to_string(t + 1));
     const int p0 = t % params.num_processors;
     task.subtasks.reserve(static_cast<std::size_t>(params.chain_length));
     double scale = 1.0;

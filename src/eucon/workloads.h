@@ -28,7 +28,7 @@ rts::SystemSpec simple_relaxed();
 // ranges wide enough that etf ∈ [0.1, 6] stays feasible).
 rts::SystemSpec medium();
 
-// LARGE (beyond the paper): 8 processors, 24 tasks (16 end-to-end + 8
+// LARGE (beyond the paper): 8 processors, 28 tasks (20 end-to-end + 8
 // local), 56 subtasks — the "larger scale" regime the paper defers to
 // future work; used by the scaling studies of centralized vs
 // decentralized control. Deterministically generated, ring-structured

@@ -92,7 +92,7 @@ TEST_P(RtaVsSimulator, AnalysisPredictsSimulation) {
     const double period = rng.uniform(40.0, 400.0);
     const double exec = period * rng.uniform(0.1, 0.45);
     TaskSpec t;
-    t.name = "T" + std::to_string(i);
+    t.name = std::string("T").append(std::to_string(i));
     t.subtasks = {{0, exec}};
     t.initial_rate = 1.0 / period;
     t.rate_min = t.initial_rate / 100.0;
@@ -123,7 +123,7 @@ TEST(RtaVsSimulatorTest, ObservedResponseBoundedByAnalysis) {
   const std::vector<PeriodicLoad> loads{{2.0, 5.0}, {4.0, 14.0}};
   for (std::size_t i = 0; i < loads.size(); ++i) {
     TaskSpec t;
-    t.name = "T" + std::to_string(i);
+    t.name = std::string("T").append(std::to_string(i));
     t.subtasks = {{0, loads[i].exec}};
     t.initial_rate = 1.0 / loads[i].period;
     t.rate_min = t.initial_rate / 10.0;

@@ -1,9 +1,9 @@
-// Proves the allocation-free steady-state contract of the decentralized
-// and hierarchical update paths: once construction and a warm-up stretch
-// have grown every buffer (node gather scratch, QP workspace, warm-start
-// working sets) to its high-water mark, a sampling period's update() —
-// neighborhood gather, local MPC solves, rate scatter included — touches
-// the heap exactly zero times.
+// Proves the allocation-free steady-state contract of the sharded
+// controller under both sweeps — Jacobi (DEUCON) and Gauss–Seidel (HIER):
+// once construction and a warm-up stretch have grown every buffer (shard
+// gather scratch, QP workspace, warm-start working sets) to its high-water
+// mark, a sampling period's update() — row gather, local MPC solves, rate
+// scatter included — touches the heap exactly zero times.
 //
 // The proof instrument is a replacement global operator new in this TU
 // (same idiom as qp_alloc_test; it stays a separate binary so the hook
@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "control/decentralized.h"
 #include "control/hierarchical.h"
 #include "control/model.h"
 #include "control/sparse_model.h"
@@ -70,22 +69,22 @@ void perturb(Vector& u, const Vector& b, int k) {
 TEST(DecentralizedAllocTest, UpdateIsAllocationFreeAfterWarmup) {
   const PlantModel model = make_plant_model(workloads::medium());
   const Vector r0 = workloads::medium().initial_rate_vector();
-  DecentralizedMpcController ctrl(
-      model, workloads::medium_controller_params(), r0);
+  const auto ctrl = HierarchicalMpcController::decentralized(
+      sparsify(model), workloads::medium_controller_params(), r0);
 
   Vector u = model.b;  // start on target, then jiggle around it
   // Warm-up walks the same perturbation cycle the counted phase uses, so
   // every working-set size and scratch capacity has already been seen.
   for (int k = 0; k < 40; ++k) {
     perturb(u, model.b, k);
-    ctrl.update(u);
+    ctrl->update(u);
   }
 
   {
     const CountScope scope;
     for (int k = 0; k < 50; ++k) {
       perturb(u, model.b, k);
-      ctrl.update(u);
+      ctrl->update(u);
     }
   }
   EXPECT_EQ(CountScope::count(), 0u);

@@ -1,8 +1,12 @@
-#include "control/decentralized.h"
-
+// DEUCON: the sharded controller's decentralized configuration —
+// one-processor shards swept Jacobi-style against the measured u.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "control/hierarchical.h"
 #include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "eucon/experiment.h"
 #include "eucon/metrics.h"
 #include "eucon/workloads.h"
@@ -12,14 +16,22 @@ namespace {
 
 using linalg::Vector;
 
+std::unique_ptr<HierarchicalMpcController> deucon(const PlantModel& model,
+                                                  const MpcParams& params,
+                                                  const Vector& r0) {
+  return HierarchicalMpcController::decentralized(sparsify(model), params, r0);
+}
+
 TEST(DecentralizedTest, PartitionsOwnershipCompletely) {
   const PlantModel model = make_plant_model(workloads::medium());
-  DecentralizedMpcController ctrl(model, workloads::medium_controller_params(),
-                                  workloads::medium().initial_rate_vector());
+  const auto ctrl = deucon(model, workloads::medium_controller_params(),
+                           workloads::medium().initial_rate_vector());
+  EXPECT_EQ(ctrl->name(), "DEUCON");
+  ASSERT_EQ(ctrl->num_shards(), model.num_processors());
   // Every task owned exactly once.
   std::vector<int> owners(model.num_tasks(), 0);
   for (std::size_t p = 0; p < model.num_processors(); ++p) {
-    for (std::size_t j : ctrl.owned_tasks(p)) ++owners[j];
+    for (std::size_t j : ctrl->shard_tasks(p)) ++owners[j];
   }
   for (std::size_t j = 0; j < model.num_tasks(); ++j)
     EXPECT_EQ(owners[j], 1) << "task " << j;
@@ -27,35 +39,89 @@ TEST(DecentralizedTest, PartitionsOwnershipCompletely) {
 
 TEST(DecentralizedTest, NeighborhoodsCoverCoupledProcessors) {
   const PlantModel model = make_plant_model(workloads::medium());
-  DecentralizedMpcController ctrl(model, workloads::medium_controller_params(),
-                                  workloads::medium().initial_rate_vector());
+  const auto ctrl = deucon(model, workloads::medium_controller_params(),
+                           workloads::medium().initial_rate_vector());
   for (std::size_t p = 0; p < model.num_processors(); ++p) {
-    const auto& nb = ctrl.neighborhood(p);
-    EXPECT_EQ(nb.front(), p);  // self first
+    const auto& rows = ctrl->shard_rows(p);
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+    // An owner holds the largest entry of each task it owns, so it always
+    // observes itself.
+    EXPECT_NE(std::find(rows.begin(), rows.end(), p), rows.end());
     // Every processor a locally owned task touches is in the neighborhood.
-    for (std::size_t j : ctrl.owned_tasks(p))
+    for (std::size_t j : ctrl->shard_tasks(p))
       for (std::size_t q = 0; q < model.num_processors(); ++q)
         if (model.f(q, j) > 0.0) {
-          EXPECT_NE(std::find(nb.begin(), nb.end(), q), nb.end());
+          EXPECT_NE(std::find(rows.begin(), rows.end(), q), rows.end());
         }
   }
 }
 
 TEST(DecentralizedTest, LocalProblemsAreSmallerThanCentralized) {
   const PlantModel model = make_plant_model(workloads::medium());
-  DecentralizedMpcController ctrl(model, workloads::medium_controller_params(),
-                                  workloads::medium().initial_rate_vector());
-  EXPECT_GE(ctrl.num_local_controllers(), 2u);
-  EXPECT_LT(ctrl.max_local_problem_size(), model.num_tasks());
+  const auto ctrl = deucon(model, workloads::medium_controller_params(),
+                           workloads::medium().initial_rate_vector());
+  EXPECT_GE(ctrl->num_shards(), 2u);
+  EXPECT_LT(ctrl->max_shard_problem_size(), model.num_tasks());
+}
+
+TEST(DecentralizedTest, EachShardSolvesAgainstTheRawMeasurement) {
+  // The Jacobi sweep: every one-processor shard's output equals that of an
+  // independent MPC built on the shard's sub-block of F and fed the same
+  // measured u — no shard sees another's moves within the period.
+  const PlantModel model = make_plant_model(workloads::medium());
+  const MpcParams params = workloads::medium_controller_params();
+  const Vector r0 = workloads::medium().initial_rate_vector();
+  const auto ctrl = deucon(model, params, r0);
+
+  std::vector<std::unique_ptr<MpcController>> independent;
+  for (std::size_t s = 0; s < ctrl->num_shards(); ++s) {
+    const auto& rows = ctrl->shard_rows(s);
+    const auto& tasks = ctrl->shard_tasks(s);
+    PlantModel local;
+    local.f = linalg::Matrix(rows.size(), tasks.size());
+    local.b = Vector(rows.size());
+    local.rate_min = Vector(tasks.size());
+    local.rate_max = Vector(tasks.size());
+    Vector local_r0(tasks.size());
+    for (std::size_t qi = 0; qi < rows.size(); ++qi) {
+      local.b[qi] = model.b[rows[qi]];
+      for (std::size_t ji = 0; ji < tasks.size(); ++ji)
+        local.f(qi, ji) = model.f(rows[qi], tasks[ji]);
+    }
+    for (std::size_t ji = 0; ji < tasks.size(); ++ji) {
+      local.rate_min[ji] = model.rate_min[tasks[ji]];
+      local.rate_max[ji] = model.rate_max[tasks[ji]];
+      local_r0[ji] = r0[tasks[ji]];
+    }
+    independent.push_back(
+        std::make_unique<MpcController>(local, params, local_r0));
+  }
+
+  LinearPlant plant(model, Vector(4, 0.8), r0);
+  Vector u = plant.utilization();
+  for (int k = 0; k < 30; ++k) {
+    const Vector& r = ctrl->update(u);
+    for (std::size_t s = 0; s < ctrl->num_shards(); ++s) {
+      const auto& rows = ctrl->shard_rows(s);
+      const auto& tasks = ctrl->shard_tasks(s);
+      Vector u_local(rows.size());
+      for (std::size_t qi = 0; qi < rows.size(); ++qi) u_local[qi] = u[rows[qi]];
+      const Vector& r_local = independent[s]->update(u_local);
+      for (std::size_t ji = 0; ji < tasks.size(); ++ji)
+        ASSERT_EQ(r[tasks[ji]], r_local[ji])
+            << "period " << k << " shard " << s << " task " << tasks[ji];
+    }
+    u = plant.step(r);
+  }
 }
 
 TEST(DecentralizedTest, ConvergesOnLinearPlantSimple) {
   const PlantModel model = make_plant_model(workloads::simple());
   const Vector r0 = workloads::simple().initial_rate_vector();
-  DecentralizedMpcController ctrl(model, workloads::simple_controller_params(), r0);
+  const auto ctrl = deucon(model, workloads::simple_controller_params(), r0);
   LinearPlant plant(model, Vector{1.0, 1.0}, r0);
   Vector u = plant.utilization();
-  for (int k = 0; k < 150; ++k) u = plant.step(ctrl.update(u));
+  for (int k = 0; k < 150; ++k) u = plant.step(ctrl->update(u));
   EXPECT_NEAR(u[0], model.b[0], 0.01);
   EXPECT_NEAR(u[1], model.b[1], 0.01);
 }
@@ -63,10 +129,10 @@ TEST(DecentralizedTest, ConvergesOnLinearPlantSimple) {
 TEST(DecentralizedTest, ConvergesOnLinearPlantMedium) {
   const PlantModel model = make_plant_model(workloads::medium());
   const Vector r0 = workloads::medium().initial_rate_vector();
-  DecentralizedMpcController ctrl(model, workloads::medium_controller_params(), r0);
+  const auto ctrl = deucon(model, workloads::medium_controller_params(), r0);
   LinearPlant plant(model, Vector(4, 0.7), r0);
   Vector u = plant.utilization();
-  for (int k = 0; k < 250; ++k) u = plant.step(ctrl.update(u));
+  for (int k = 0; k < 250; ++k) u = plant.step(ctrl->update(u));
   for (std::size_t p = 0; p < 4; ++p)
     EXPECT_NEAR(u[p], model.b[p], 0.02) << "P" << p + 1;
 }
@@ -120,29 +186,24 @@ TEST(DecentralizedTest, TracksDynamicLoadLikeCentralized) {
 }
 
 TEST(DecentralizedTest, SplitsOutOfRangeFromOwnerlessDiagnostics) {
-  // 2 processors, 1 task owned by P0: P1 is a valid index that owns
+  // 2 processors, 1 task owned by P0: P1 is a valid shard that owns
   // nothing, 7 is caller misuse — the two must be distinguishable.
   PlantModel model;
   model.f = linalg::Matrix{{2.0}, {1.0}};
   model.b = Vector{0.8, 0.8};
   model.rate_min = Vector{0.001};
   model.rate_max = Vector{0.1};
-  DecentralizedMpcController ctrl(model, workloads::simple_controller_params(),
-                                  Vector{0.01});
+  const auto ctrl =
+      deucon(model, workloads::simple_controller_params(), Vector{0.01});
   try {
-    ctrl.owned_tasks(7);
+    ctrl->shard_tasks(7);
     FAIL() << "out-of-range index must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
         << e.what();
   }
-  try {
-    ctrl.neighborhood(1);
-    FAIL() << "ownerless processor must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("owns no tasks"), std::string::npos)
-        << e.what();
-  }
+  EXPECT_TRUE(ctrl->shard_tasks(1).empty());
+  EXPECT_TRUE(ctrl->shard_rows(1).empty());
 }
 
 TEST(DecentralizedTest, OwnershipTieBreaksToLowestProcessorIndex) {
@@ -153,10 +214,10 @@ TEST(DecentralizedTest, OwnershipTieBreaksToLowestProcessorIndex) {
   model.b = Vector{0.8, 0.8, 0.8};
   model.rate_min = Vector{0.001, 0.001};
   model.rate_max = Vector{0.1, 0.1};
-  DecentralizedMpcController ctrl(model, workloads::simple_controller_params(),
-                                  Vector{0.01, 0.01});
-  ASSERT_EQ(ctrl.owned_tasks(1).size(), 2u);
-  EXPECT_THROW(ctrl.owned_tasks(2), std::invalid_argument);
+  const auto ctrl = deucon(model, workloads::simple_controller_params(),
+                           Vector{0.01, 0.01});
+  ASSERT_EQ(ctrl->shard_tasks(1).size(), 2u);
+  EXPECT_TRUE(ctrl->shard_tasks(2).empty());
 }
 
 TEST(DecentralizedTest, AllZeroAllocationColumnNamesTheTask) {
@@ -166,8 +227,7 @@ TEST(DecentralizedTest, AllZeroAllocationColumnNamesTheTask) {
   model.rate_min = Vector{0.001, 0.001};
   model.rate_max = Vector{0.1, 0.1};
   try {
-    DecentralizedMpcController ctrl(
-        model, workloads::simple_controller_params(), Vector{0.01, 0.01});
+    deucon(model, workloads::simple_controller_params(), Vector{0.01, 0.01});
     FAIL() << "all-zero column must be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("task 1"), std::string::npos)
@@ -178,13 +238,12 @@ TEST(DecentralizedTest, AllZeroAllocationColumnNamesTheTask) {
 TEST(DecentralizedTest, RejectsBadSizes) {
   const PlantModel model = make_plant_model(workloads::simple());
   EXPECT_THROW(
-      DecentralizedMpcController(model, workloads::simple_controller_params(),
-                                 Vector{0.01}),
+      deucon(model, workloads::simple_controller_params(), Vector{0.01}),
       std::invalid_argument);
-  DecentralizedMpcController ctrl(model, workloads::simple_controller_params(),
-                                  workloads::simple().initial_rate_vector());
-  EXPECT_THROW(ctrl.update(Vector{0.5}), std::invalid_argument);
-  EXPECT_THROW(ctrl.owned_tasks(99), std::invalid_argument);
+  const auto ctrl = deucon(model, workloads::simple_controller_params(),
+                           workloads::simple().initial_rate_vector());
+  EXPECT_THROW(ctrl->update(Vector{0.5}), std::invalid_argument);
+  EXPECT_THROW(ctrl->shard_tasks(99), std::invalid_argument);
 }
 
 }  // namespace

@@ -48,12 +48,13 @@ TEST(LargeWorkloadTest, CentralizedEuconControlsIt) {
 }
 
 TEST(LargeWorkloadTest, DecentralizedHandlesItWithSmallLocalProblems) {
-  const auto model = control::make_plant_model(large());
-  control::DecentralizedMpcController ctrl(
-      model, workloads::medium_controller_params(),
-      large().initial_rate_vector());
-  EXPECT_EQ(ctrl.num_local_controllers(), 8u);
-  EXPECT_LE(ctrl.max_local_problem_size(), 6u);  // vs 28 tasks centralized
+  const auto ctrl = control::HierarchicalMpcController::decentralized(
+      control::make_sparse_plant_model(large()),
+      workloads::medium_controller_params(), large().initial_rate_vector());
+  EXPECT_EQ(ctrl->num_shards(), 8u);
+  for (std::size_t p = 0; p < 8; ++p)
+    EXPECT_FALSE(ctrl->shard_tasks(p).empty()) << "P" << p + 1;
+  EXPECT_LE(ctrl->max_shard_problem_size(), 6u);  // vs 28 tasks centralized
 
   ExperimentConfig cfg;
   cfg.spec = large();

@@ -14,13 +14,14 @@ TEST(MiscTest, AllControllerKindNames) {
   EXPECT_STREQ(controller_kind_name(ControllerKind::kAdaptive), "EUCON-A");
   EXPECT_STREQ(controller_kind_name(ControllerKind::kUncoordinated),
                "FCS-IND");
+  EXPECT_STREQ(controller_kind_name(ControllerKind::kHierarchical), "HIER");
 }
 
 TEST(MiscTest, ControllerNamesMatchKinds) {
   for (auto kind :
        {ControllerKind::kEucon, ControllerKind::kOpen, ControllerKind::kPid,
         ControllerKind::kDecentralized, ControllerKind::kAdaptive,
-        ControllerKind::kUncoordinated}) {
+        ControllerKind::kUncoordinated, ControllerKind::kHierarchical}) {
     ExperimentConfig cfg;
     cfg.spec = workloads::simple();
     cfg.mpc = workloads::simple_controller_params();

@@ -4,6 +4,9 @@
 # Configures, builds and runs the test suite under each hardening preset:
 #
 #   default        plain RelWithDebInfo, -Wall -Wextra -Werror
+#   release        -DCMAKE_BUILD_TYPE=Release (-O3), still -Werror: GCC's
+#                  optimizer-dependent warnings (-Wrestrict and friends)
+#                  only fire at this level
 #   asan-ubsan     -DEUCON_SANITIZE=address;undefined (halt on first finding)
 #   numeric        -DEUCON_NUMERIC_CHECKS=ON (std::isfinite guards in linalg/
 #                  qp/control; numeric_guard_test's injection tests activate)
@@ -33,7 +36,8 @@
 # just parsed.
 #
 # Usage:
-#   tools/check.sh             # lint + default + asan-ubsan + numeric
+#   tools/check.sh             # lint + default + release + asan-ubsan +
+#                              # numeric
 #   tools/check.sh --fast      # lint + default preset only
 #   tools/check.sh --tsan      # also run the thread-sanitizer preset
 #   tools/check.sh --faults    # fault/degradation suite under ASan/UBSan + TSan
@@ -418,6 +422,7 @@ case "$MODE" in
     run_lint
     run_thread_safety
     configure_build_test default
+    configure_build_test release -DCMAKE_BUILD_TYPE=Release
     configure_build_test asan-ubsan "-DEUCON_SANITIZE=address;undefined"
     configure_build_test numeric -DEUCON_NUMERIC_CHECKS=ON
     if [ "$TSAN" = 1 ]; then

@@ -32,7 +32,8 @@ using namespace eucon;
                "usage: %s [options]\n"
                "  --workload simple|simple-relaxed|medium|large   built-in task set\n"
                "  --spec FILE               load a task set (see rts/spec_io.h)\n"
-               "  --controller eucon|open|pid|deucon|adaptive|fcs-ind   (default eucon)\n"
+               "  --controller eucon|open|pid|deucon|adaptive|fcs-ind|hier\n"
+               "                            (default eucon)\n"
                "  --etf X                   constant execution-time factor\n"
                "  --etf-steps t:f,t:f,...   piecewise execution-time factor\n"
                "  --jitter X                uniform exec jitter half-width (default 0.1)\n"
@@ -152,13 +153,11 @@ int main(int argc, char** argv) {
       spec_file = next_value(i);
     } else if (flag == "--controller") {
       const std::string c = next_value(i);
-      if (c == "eucon") cfg.controller = ControllerKind::kEucon;
-      else if (c == "open") cfg.controller = ControllerKind::kOpen;
-      else if (c == "pid") cfg.controller = ControllerKind::kPid;
-      else if (c == "deucon") cfg.controller = ControllerKind::kDecentralized;
-      else if (c == "adaptive") cfg.controller = ControllerKind::kAdaptive;
-      else if (c == "fcs-ind") cfg.controller = ControllerKind::kUncoordinated;
-      else usage(argv[0], "unknown controller: " + c);
+      try {
+        cfg.controller = scenario::parse_controller_kind(c);
+      } catch (const std::exception& e) {
+        usage(argv[0], e.what());
+      }
     } else if (flag == "--etf") {
       cfg.sim.etf = rts::EtfProfile::constant(
           parse_double(argv[0], flag, next_value(i)));
