@@ -33,6 +33,12 @@ struct GoldenCase {
   int stale_limit = 0;
 };
 
+// Without this, gtest prints a case as its raw bytes, and the name
+// pointer in them moves with every process under ASLR — so the
+// "# GetParam() = ..." part of the listed test name (which CTest keeps)
+// would change on every build.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
 // A compressed version of the blackout_demo scenario with every fault
 // source live, so the faulted trace encoding (per-period "faults" blocks,
 // summary totals) is byte-pinned alongside the clean cases.
