@@ -66,26 +66,20 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-// Runs `fn` warmup times untimed, then `iters` times with per-iteration
-// wall-clock capture.
-template <typename F>
-SectionResult time_section(const std::string& name, std::size_t warmup,
-                           std::size_t iters, F&& fn) {
-  EUCON_REQUIRE(iters > 0, "section needs at least one timed iteration");
-  for (std::size_t i = 0; i < warmup; ++i) fn();
-  std::vector<double> us;
-  us.reserve(iters);
-  for (std::size_t i = 0; i < iters; ++i) {
-    const auto t0 = SteadyClock::now();
-    fn();
-    const auto t1 = SteadyClock::now();
-    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
+double micros(SteadyClock::time_point t0, SteadyClock::time_point t1) {
+  return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
+// Summarizes one section's per-iteration latencies (after `warmup` untimed
+// iterations) and prints its row.
+SectionResult summarize(const std::string& name, std::size_t warmup,
+                        std::vector<double> us) {
+  EUCON_REQUIRE(!us.empty(), "section needs at least one timed iteration");
   std::sort(us.begin(), us.end());
   SectionResult r;
   r.name = name;
   r.warmup = warmup;
-  r.iterations = iters;
+  r.iterations = us.size();
   double sum = 0.0;
   for (double v : us) sum += v;
   r.mean_us = sum / static_cast<double>(us.size());
@@ -99,6 +93,22 @@ SectionResult time_section(const std::string& name, std::size_t warmup,
               r.name.c_str(), r.iterations, r.p50_us, r.p90_us, r.p99_us,
               r.mean_us);
   return r;
+}
+
+// Runs `fn` warmup times untimed, then `iters` times with per-iteration
+// wall-clock capture.
+template <typename F>
+SectionResult time_section(const std::string& name, std::size_t warmup,
+                           std::size_t iters, F&& fn) {
+  for (std::size_t i = 0; i < warmup; ++i) fn();
+  std::vector<double> us;
+  us.reserve(iters);
+  for (std::size_t i = 0; i < iters; ++i) {
+    const auto t0 = SteadyClock::now();
+    fn();
+    us.push_back(micros(t0, SteadyClock::now()));
+  }
+  return summarize(name, warmup, std::move(us));
 }
 
 // Defeats dead-code elimination without google-benchmark.
@@ -241,24 +251,26 @@ SectionResult bench_qp_solve_warm(std::size_t warmup, std::size_t iters) {
   return r;
 }
 
-// One full closed-loop sampling period of MEDIUM: simulate Ts, sample,
-// control, actuate.
+// One closed-loop sampling period of MEDIUM as run_experiment runs it:
+// simulate Ts, sample, deliver over the feedback lanes, control, actuate,
+// record the trace. One run of warmup + iters + 1 periods; each sample is
+// the interval between consecutive on_period callbacks after the warm-up.
 SectionResult bench_closed_loop(std::size_t warmup, std::size_t iters) {
-  rts::SimOptions opts;
-  opts.jitter = 0.2;
-  const auto spec = workloads::medium();
-  rts::Simulator sim(spec, opts);
-  const auto model = control::make_plant_model(spec);
-  control::MpcController ctrl(model, workloads::medium_controller_params(),
-                              spec.initial_rate_vector());
-  Ticks t = 0;
-  const Ticks ts = units_to_ticks(1000.0);
-  return time_section("closed_loop_period_medium", warmup, iters, [&] {
-    t += ts;
-    sim.run_until(t);
-    const auto u = sim.sample_utilizations();
-    sim.set_rates(ctrl.update(linalg::Vector(u)).data());
-  });
+  ExperimentConfig cfg;
+  cfg.spec = workloads::medium();
+  cfg.mpc = workloads::medium_controller_params();
+  cfg.sim.jitter = 0.2;
+  cfg.num_periods = static_cast<int>(warmup + iters + 1);
+  std::vector<SteadyClock::time_point> stamps;
+  stamps.reserve(warmup + iters + 1);
+  cfg.on_period = [&stamps](int, control::Controller&) {
+    stamps.push_back(SteadyClock::now());
+  };
+  (void)run_experiment(cfg);
+  std::vector<double> us;
+  for (std::size_t i = warmup + 1; i < stamps.size(); ++i)
+    us.push_back(micros(stamps[i - 1], stamps[i]));
+  return summarize("closed_loop_period_medium", warmup, std::move(us));
 }
 
 // ---------------------------------------------------------------------------
@@ -289,8 +301,8 @@ BatchResult bench_batch(std::size_t runs, int periods) {
   specs.reserve(runs);
   for (std::size_t i = 0; i < runs; ++i) {
     ExperimentConfig cfg;
-    cfg.spec = workloads::simple();
-    cfg.mpc = workloads::simple_controller_params();
+    cfg.spec = workloads::medium();
+    cfg.mpc = workloads::medium_controller_params();
     cfg.num_periods = periods;
     cfg.sim.jitter = 0.1;
     cfg.sim.etf = rts::EtfProfile::constant(
@@ -608,7 +620,10 @@ int main(int argc, char** argv) {
   const std::size_t warmup = smoke ? 3 : 50;
   const std::size_t iters = smoke ? 12 : 400;
   const std::size_t loop_iters = smoke ? 8 : 120;
-  const std::size_t batch_runs = smoke ? 4 : 12;
+  // 48 MEDIUM runs (about 1 s serial) keep pool start-up and the serial
+  // tail small next to the work; a batch of tens of milliseconds shows no
+  // speedup at all.
+  const std::size_t batch_runs = smoke ? 4 : 48;
   const int batch_periods = smoke ? 25 : 120;
 
   std::printf("bench_perf: %s run, %zu hardware threads\n",

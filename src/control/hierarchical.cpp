@@ -13,8 +13,6 @@ using linalg::Vector;
 
 void HierarchicalParams::validate() const {
   EUCON_REQUIRE(shard_size >= 1, "shard size must be >= 1");
-  EUCON_REQUIRE(coordination_gain > 0.0 && coordination_gain <= 1.0,
-                "coordination gain must be in (0, 1]");
 }
 
 // Builds one sweep partition: processor p goes to shard (p + offset) /
@@ -146,28 +144,16 @@ const Vector& HierarchicalMpcController::update(const Vector& u) {
   // scattered off F^T's rows) before the next shard solves, so each shard
   // attacks the residual error its predecessors left — no double-actuation
   // on boundary rows, and corrections cross every shard boundary within
-  // the period. Jacobi leaves ũ at the measurement for every shard. γ < 1
-  // hands each shard only part of the error. All scratch is preallocated —
-  // steady-state periods never touch the heap.
-  const double gain = hier_.coordination_gain;
+  // the period. Jacobi leaves ũ at the measurement for every shard. All
+  // scratch is preallocated — steady-state periods never touch the heap.
   const bool advance = sweep_ == Sweep::kGaussSeidel;
   std::vector<Shard>& shards = partitions_[period_ % partitions_.size()];
   ++period_;
   u_pred_ = u;
   for (Shard& shard : shards) {
     if (shard.local == nullptr) continue;
-    for (std::size_t qi = 0; qi < shard.rows.size(); ++qi) {
-      const std::size_t q = shard.rows[qi];
-      // With γ = 1 the shard sees the prediction itself (written as such
-      // to keep the single-shard case bit-identical to the central MPC);
-      // otherwise the residual is scaled toward the set point.
-      const double b = model_.b[q];
-      const double virtual_u =
-          gain == 1.0  // eucon-lint: allow(float-equality)
-              ? u_pred_[q]
-              : b - gain * (b - u_pred_[q]);
-      shard.u_scratch[qi] = std::clamp(virtual_u, 0.0, 1.0);
-    }
+    for (std::size_t qi = 0; qi < shard.rows.size(); ++qi)
+      shard.u_scratch[qi] = std::clamp(u_pred_[shard.rows[qi]], 0.0, 1.0);
     // The other partition actuated the same tasks last period: bring this
     // local's rate belief r(k-1) back to the rates actually applied.
     for (std::size_t ji = 0; ji < shard.owned.size(); ++ji)

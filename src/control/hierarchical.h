@@ -22,20 +22,16 @@
 //     per period. Shards update in index order against a PREDICTED
 //     utilization ũ that starts at the measurement and absorbs each
 //     earlier shard's rate moves through the nominal plant model
-//     (Δũ = F Δr, read off the CSR columns):
-//
-//         shard s sees   ũ_q ← b_q − γ · (b_q − ũ_q)   over its rows,
-//
-//     then ũ is advanced by the Δr it commanded before the next shard
-//     solves. Every shard therefore works on the RESIDUAL error its
-//     predecessors left — no double-actuation on boundary rows, and a
-//     correction can propagate across every shard boundary within a
+//     (Δũ = F Δr, read off the CSR columns): shard s solves against ũ
+//     over its rows, then ũ is advanced by the Δr it commanded before the
+//     next shard solves. Every shard therefore works on the RESIDUAL
+//     error its predecessors left — no double-actuation on boundary rows,
+//     and a correction can propagate across every shard boundary within a
 //     single period instead of one hop per period. u = b remains a
 //     fixpoint (zero error commands zero moves, which leave the
 //     prediction untouched), the same steady state the central MPC
-//     settles to; γ < 1 damps how much of the residual each shard takes.
-//     A single all-covering shard sees the raw measurement and reduces
-//     the controller to the central MPC exactly;
+//     settles to. A single all-covering shard sees the raw measurement
+//     and reduces the controller to the central MPC exactly;
 //   * DEUCON (Sweep::kJacobi, one-processor shards — decentralized())
 //     skips the prediction: every shard solves against the same measured
 //     u, as peer nodes sampling one epoch would, and treats the rates
@@ -78,11 +74,6 @@ struct HierarchicalParams {
   // Processors per shard (the last shard takes the remainder). One shard
   // spanning all processors reproduces the central MPC exactly.
   std::size_t shard_size = 32;
-  // Coordination gain γ on the residual error each shard is handed during
-  // the Gauss–Seidel sweep. 1 = every shard attacks the full remaining
-  // error; < 1 damps per-shard actuation when the nominal-gain prediction
-  // is untrustworthy (strongly time-varying plant gains).
-  double coordination_gain = 1.0;
 
   void validate() const;
 };
@@ -101,7 +92,7 @@ class HierarchicalMpcController final : public Controller {
                             linalg::Vector initial_rates,
                             Sweep sweep = Sweep::kGaussSeidel);
 
-  // DEUCON: one-processor shards, Jacobi sweep, γ = 1.
+  // DEUCON: one-processor shards, Jacobi sweep.
   static std::unique_ptr<HierarchicalMpcController> decentralized(
       SparsePlantModel model, MpcParams params, linalg::Vector initial_rates);
 

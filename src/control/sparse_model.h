@@ -27,25 +27,35 @@ struct SparsePlantModel {
 
   void validate() const;
 
-  // Dense view for small-n parity tests and the central-baseline paths.
-  // Do not call at cluster scale — it materializes the n×m zeros.
+  // Dense view for the central controllers (EUCON, PID, OPEN, ...) and
+  // small-n parity tests. Do not call at cluster scale — it materializes
+  // the n×m zeros.
   PlantModel to_dense() const;
 };
 
 // Builds the sparse model from a task-set spec without ever materializing
-// the dense F (the sparse analogue of make_plant_model). Empty set_points
-// = the Liu–Layland RMS bounds, as in the dense builder.
+// the dense F (the sparse analogue of make_plant_model, equal to it bit
+// for bit: to_dense() reproduces make_plant_model's result exactly). Empty
+// set_points = the Liu–Layland RMS bounds, as in the dense builder.
 SparsePlantModel make_sparse_plant_model(const rts::SystemSpec& spec,
                                          const linalg::Vector& set_points = {});
 
 // Compresses an existing dense model (small-n interop).
 SparsePlantModel sparsify(const PlantModel& model);
 
-// The difference-equation plant u(k) = u(k-1) + G F Δr(k-1) over a sparse
-// F — the idealized dynamics the scaling bench closes the loop against,
-// allocation-free per step once constructed.
+// The paper's difference-equation plant (eq. 5-6) in isolation:
+//
+//   u(k) = u(k-1) + G F Δr(k-1)
+//
+// This is the model the stability analysis reasons about. Tests and the
+// scaling bench close loops against it to separate control behavior from
+// scheduling and measurement effects (the DES covers those). It steps
+// allocation-free once constructed, at any n.
 class SparseLinearPlant {
  public:
+  // `gains` are the true utilization gains G (one per processor);
+  // `initial_rates`, clamped to the model's rate bounds, seed the rate
+  // memory used to form Δr and the initial utilization G F r(0).
   SparseLinearPlant(SparsePlantModel model, linalg::Vector gains,
                     linalg::Vector initial_rates);
 

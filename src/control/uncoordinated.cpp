@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "control/topology.h"
 
 namespace eucon::control {
 
@@ -19,23 +20,10 @@ UncoordinatedFcsController::UncoordinatedFcsController(PlantModel model,
   EUCON_REQUIRE(rates_.size() == model_.num_tasks(), "rate size mismatch");
   rates_ = rates_.clamped(model_.rate_min, model_.rate_max);
 
-  const std::size_t n = model_.num_processors();
-  const std::size_t m = model_.num_tasks();
-  root_.resize(m);
-  local_exec_.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    std::size_t owner = 0;
-    double best = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (model_.f(i, j) > best) {
-        best = model_.f(i, j);
-        owner = i;
-      }
-    }
-    EUCON_REQUIRE(best > 0.0, "task touches no processor");
-    root_[j] = owner;
-    local_exec_[j] = best;
-  }
+  root_ = compute_ownership(linalg::SparseMatrix::from_dense(model_.f));
+  local_exec_.resize(root_.size());
+  for (std::size_t j = 0; j < root_.size(); ++j)
+    local_exec_[j] = model_.f(root_[j], j);
 }
 
 const Vector& UncoordinatedFcsController::update(const Vector& u) {

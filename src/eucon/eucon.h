@@ -20,7 +20,6 @@
 #include "control/gain_estimator.h"
 #include "control/diagnostics.h"
 #include "control/hierarchical.h"
-#include "control/linear_plant.h"
 #include "control/model.h"
 #include "control/mpc.h"
 #include "control/sparse_model.h"

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "control/adaptive.h"
 #include "control/open_loop.h"
+#include "control/sparse_model.h"
 #include "eucon/feedback_lane.h"
 
 namespace eucon {
@@ -37,35 +38,39 @@ const char* controller_kind_name(ControllerKind kind) {
   return "?";
 }
 
+namespace {
+
+// Builds the configured controller over the run's one plant model: the
+// sharded controllers take the CSR model as it is, the central ones its
+// dense view.
 std::unique_ptr<control::Controller> make_controller(
-    const ExperimentConfig& config) {
-  const control::PlantModel model =
-      control::make_plant_model(config.spec, config.set_points);
+    const ExperimentConfig& config, const control::SparsePlantModel& model) {
   const linalg::Vector r0 = config.spec.initial_rate_vector();
   switch (config.controller) {
     case ControllerKind::kEucon:
-      return std::make_unique<control::MpcController>(model, config.mpc, r0);
+      return std::make_unique<control::MpcController>(model.to_dense(),
+                                                      config.mpc, r0);
     case ControllerKind::kOpen:
-      return std::make_unique<control::OpenLoopController>(model, r0);
+      return std::make_unique<control::OpenLoopController>(model.to_dense(),
+                                                           r0);
     case ControllerKind::kPid:
-      return std::make_unique<control::PidController>(model, config.pid, r0);
+      return std::make_unique<control::PidController>(model.to_dense(),
+                                                      config.pid, r0);
     case ControllerKind::kDecentralized:
-      return control::HierarchicalMpcController::decentralized(
-          control::sparsify(model), config.mpc, r0);
+      return control::HierarchicalMpcController::decentralized(model,
+                                                               config.mpc, r0);
     case ControllerKind::kAdaptive:
-      return std::make_unique<control::AdaptiveMpcController>(model,
-                                                              config.mpc, r0);
+      return std::make_unique<control::AdaptiveMpcController>(
+          model.to_dense(), config.mpc, r0);
     case ControllerKind::kUncoordinated:
       return std::make_unique<control::UncoordinatedFcsController>(
-          model, config.fcs, r0);
+          model.to_dense(), config.fcs, r0);
     case ControllerKind::kHierarchical:
       return std::make_unique<control::HierarchicalMpcController>(
-          control::sparsify(model), config.mpc, config.hier, r0);
+          model, config.mpc, config.hier, r0);
   }
   EUCON_FAIL_INVALID("unknown controller kind");
 }
-
-namespace {
 
 const char* qp_status_name(qp::Status status) {
   switch (status) {
@@ -80,6 +85,12 @@ const char* qp_status_name(qp::Status status) {
 }
 
 }  // namespace
+
+std::unique_ptr<control::Controller> make_controller(
+    const ExperimentConfig& config) {
+  return make_controller(
+      config, control::make_sparse_plant_model(config.spec, config.set_points));
+}
 
 std::vector<double> ExperimentResult::utilization_series(
     std::size_t processor) const {
@@ -119,7 +130,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                 "lane_initial size mismatch");
   config.spec.validate();
 
-  auto controller = make_controller(config);
+  // The plant model, built once per run in CSR (F is n×m but holds only
+  // the task chains' entries). Dense copies go only to the central
+  // controllers and the EUCON-only adjuncts.
+  const control::SparsePlantModel model =
+      control::make_sparse_plant_model(config.spec, config.set_points);
+  auto controller = make_controller(config, model);
   rts::Simulator sim(config.spec, config.sim);
 
   // OPEN assigns its designed rates from time zero; for the feedback
@@ -129,11 +145,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     sim.set_rates(open->rates().data());
   }
 
-  const control::PlantModel model =
-      control::make_plant_model(config.spec, config.set_points);
   std::unique_ptr<control::AdmissionGovernor> governor;
   if (config.enable_admission_control) {
-    governor = std::make_unique<control::AdmissionGovernor>(model,
+    governor = std::make_unique<control::AdmissionGovernor>(model.to_dense(),
                                                             config.admission);
   }
   std::unique_ptr<control::ReallocationPlanner> planner;
@@ -188,10 +202,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // Degradation state: the rates actually at the plant (distinct from the
   // central controller's belief once actuation faults bite), the lazily
-  // constructed blackout backup, and the MPC tracked set.
+  // constructed blackout backup, and the MPC tracked set. kOpenLoop and
+  // kDecentralized differ only in which backup takes over the actuators.
   linalg::Vector applied(sim.current_rates());
+  const bool backup_policy =
+      config.degrade.policy == faults::DegradePolicy::kOpenLoop ||
+      config.degrade.policy == faults::DegradePolicy::kDecentralized;
+  const auto make_backup = [&]() -> std::unique_ptr<control::Controller> {
+    if (config.degrade.policy == faults::DegradePolicy::kOpenLoop)
+      return std::make_unique<control::OpenLoopController>(
+          model.to_dense(), config.spec.initial_rate_vector());
+    return control::HierarchicalMpcController::decentralized(model, config.mpc,
+                                                             applied);
+  };
   std::unique_ptr<control::Controller> backup;
-  bool was_blackout = false;
   std::vector<bool> tracked(n, true);
   std::uint64_t act_lost_total = 0, overload_total = 0, blackout_total = 0;
   std::uint64_t stale_drops = 0, stale_restores = 0;
@@ -279,13 +303,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     std::uint64_t act_lost_hits = 0;
     linalg::Vector rates;  // the central controller's belief this period
     if (!blackout) {
-      if (was_blackout) {
+      if (backup != nullptr) {
         // Recovery: resynchronize the controller's rate belief with what
-        // the backup policy actually applied, then retire the backup. Under
-        // kNone/kHoldRates nothing moved, so nothing needs resyncing.
-        if (config.degrade.policy == faults::DegradePolicy::kOpenLoop ||
-            config.degrade.policy == faults::DegradePolicy::kDecentralized)
-          mpc_diag->reset_rates(applied);
+        // the backup actually applied, then retire the backup. Under
+        // kNone/kHoldRates there is no backup: nothing moved, so nothing
+        // needs resyncing.
+        mpc_diag->reset_rates(applied);
         backup.reset();
       }
       rates = controller->update(u_seen);
@@ -299,30 +322,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         sim.inject_overhead(config.controller_host, config.controller_overhead);
     } else {
       // Controller blackout: no central update, no co-hosted overhead, no
-      // admission/reallocation adjuncts. The watchdog applies its policy.
+      // admission/reallocation adjuncts. The watchdog applies its policy:
+      // under kNone/kHoldRates the rates freeze (in-flight commands still
+      // arrive below); otherwise a backup takes over the actuators.
       rates = applied;
-      switch (config.degrade.policy) {
-        case faults::DegradePolicy::kNone:
-        case faults::DegradePolicy::kHoldRates:
-          break;  // rates freeze; in-flight commands still arrive below
-        case faults::DegradePolicy::kOpenLoop:
-          if (backup == nullptr) {
-            in_flight.clear();  // the backup owns the actuators now
-            backup = std::make_unique<control::OpenLoopController>(
-                model, config.spec.initial_rate_vector());
-          }
-          applied = backup->update(u_seen);
-          sim.set_rates(applied.data());
-          break;
-        case faults::DegradePolicy::kDecentralized:
-          if (backup == nullptr) {
-            in_flight.clear();
-            backup = control::HierarchicalMpcController::decentralized(
-                control::sparsify(model), config.mpc, applied);
-          }
-          applied = backup->update(u_seen);
-          sim.set_rates(applied.data());
-          break;
+      if (backup_policy) {
+        if (backup == nullptr) {
+          in_flight.clear();  // the backup owns the actuators now
+          backup = make_backup();
+        }
+        applied = backup->update(u_seen);
+        sim.set_rates(applied.data());
       }
     }
 
@@ -413,7 +423,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         sink->period(prec);
       }
     }
-    was_blackout = blackout;
   }
 
   result.lost_reports = lanes.lost_reports();

@@ -147,8 +147,8 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-// Builds the controller an experiment would use (exposed for tests and
-// benches that drive the pieces manually).
+// Builds the controller an experiment would use, over a plant model built
+// from the config's spec in CSR (exposed for tests and benchmarks).
 std::unique_ptr<control::Controller> make_controller(
     const ExperimentConfig& config);
 

@@ -14,10 +14,12 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
                   "sparse triplet out of range: (" + std::to_string(t.row) +
                       ", " + std::to_string(t.col) + ") in " +
                       std::to_string(rows) + "x" + std::to_string(cols));
-  std::sort(entries.begin(), entries.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  // Stable: duplicates keep their input order, so they sum in the order
+  // the caller listed them (bit-identical to accumulating a dense matrix).
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Triplet& a, const Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
 
   SparseMatrix m;
   m.rows_ = rows;

@@ -22,7 +22,7 @@
 namespace eucon::linalg {
 
 // One (row, col, value) entry for from_triplets. Duplicate coordinates are
-// summed, matching the usual sparse-assembly convention.
+// summed in input order, matching the usual sparse-assembly convention.
 struct Triplet {
   std::size_t row = 0;
   std::size_t col = 0;
@@ -34,7 +34,7 @@ class SparseMatrix {
   SparseMatrix() = default;
 
   // Builds an r×c matrix from (row, col, value) entries; duplicates are
-  // summed. Entries out of range throw.
+  // summed in input order. Entries out of range throw.
   static SparseMatrix from_triplets(std::size_t rows, std::size_t cols,
                                     std::vector<Triplet> entries);
 

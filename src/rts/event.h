@@ -13,7 +13,7 @@ enum class EventKind {
   kTaskRelease,     // periodic release of a task's first subtask
   kSubtaskRelease,  // release-guarded release of a downstream subtask
   kCompletion,      // a processor's running job may have finished
-  kRateChange,      // the rate modulators apply a pending rate vector
+  kRateChange,      // rate modulators apply the oldest pending rate vector
 };
 
 struct Event {
@@ -25,7 +25,6 @@ struct Event {
   int subtask = -1;       // kSubtaskRelease
   int processor = -1;     // kCompletion
   std::uint64_t gen = 0;  // kTaskRelease / kCompletion staleness check
-  std::size_t payload = 0;  // kRateChange: index of the pending rate vector
 };
 
 struct EventAfter {

@@ -96,7 +96,7 @@ void Simulator::handle(const Event& e) {
       on_completion(e);
       break;
     case EventKind::kRateChange:
-      on_rate_change(e);
+      on_rate_change();
       break;
   }
 }
@@ -268,8 +268,10 @@ void Simulator::on_completion(const Event& e) {
   jobs_.erase(job->id);
 }
 
-void Simulator::on_rate_change(const Event& e) {
-  const std::vector<double>& requested = pending_rate_sets_.at(e.payload);
+void Simulator::on_rate_change() {
+  EUCON_ASSERT(!pending_rate_sets_.empty(), "rate change with no rates queued");
+  const std::vector<double> requested = std::move(pending_rate_sets_.front());
+  pending_rate_sets_.pop_front();
   for (std::size_t i = 0; i < spec_.num_tasks(); ++i) {
     const auto& task = spec_.tasks[i];
     const double clamped =
@@ -317,7 +319,6 @@ void Simulator::set_rates(const std::vector<double>& rates) {
   Event e;
   e.time = now_ + units_to_ticks(options_.feedback_lane_delay);
   e.kind = EventKind::kRateChange;
-  e.payload = pending_rate_sets_.size() - 1;
   queue_.push(e);
 }
 

@@ -134,7 +134,7 @@ class Simulator {
   void on_task_release(const Event& e);
   void on_subtask_release(const Event& e);
   void on_completion(const Event& e);
-  void on_rate_change(const Event& e);
+  void on_rate_change();
 
   Job* make_job(int task, int subtask, std::uint64_t instance,
                 Ticks instance_release, Ticks abs_deadline, Ticks release_time);
@@ -169,8 +169,11 @@ class Simulator {
 
   TraceLog trace_;
 
-  // Rate vectors waiting for their kRateChange event.
-  std::vector<std::vector<double>> pending_rate_sets_;
+  // Rate vectors waiting for their kRateChange event, oldest first. The
+  // lane delay is constant and equal-time events pop in creation order, so
+  // rate changes fire in request order: each one applies and frees the
+  // front entry.
+  std::deque<std::vector<double>> pending_rate_sets_;
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::uint64_t next_job_id_ = 0;

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "control/adaptive.h"
-#include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "eucon/eucon.h"
 
 namespace eucon::control {
@@ -86,8 +86,8 @@ TEST(MpcGainEstimateTest, ScalesThePredictionModel) {
   ctrl.set_gain_estimate(Vector{2.0, 2.0});
   // With ĝ = g the loop behaves like the nominal (g = 1) case: converges
   // fast and smoothly on a plant with true gain 2.
-  LinearPlant plant(model, Vector{2.0, 2.0},
-                    workloads::simple().initial_rate_vector());
+  SparseLinearPlant plant(sparsify(model), Vector{2.0, 2.0},
+                          workloads::simple().initial_rate_vector());
   Vector u = plant.utilization();
   for (int k = 0; k < 60; ++k) u = plant.step(ctrl.update(u));
   EXPECT_NEAR(u[0], model.b[0], 2e-3);
@@ -105,7 +105,7 @@ TEST(AdaptiveMpcTest, StableBeyondFixedModelCriticalGain) {
   }
   const Vector r0 = workloads::simple().initial_rate_vector();
   AdaptiveMpcController ctrl(model, workloads::simple_controller_params(), r0);
-  LinearPlant plant(model, Vector{8.0, 8.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{8.0, 8.0}, r0);
   plant.set_utilization(Vector{0.4, 0.4});
   Vector u = plant.utilization();
   for (int k = 0; k < 200; ++k) u = plant.step(ctrl.update(u));
@@ -121,7 +121,7 @@ TEST(AdaptiveMpcTest, MatchesFixedControllerAtNominalGain) {
   const PlantModel model = make_plant_model(workloads::simple());
   const Vector r0 = workloads::simple().initial_rate_vector();
   AdaptiveMpcController ctrl(model, workloads::simple_controller_params(), r0);
-  LinearPlant plant(model, Vector{1.0, 1.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0}, r0);
   Vector u = plant.utilization();
   for (int k = 0; k < 80; ++k) u = plant.step(ctrl.update(u));
   EXPECT_NEAR(u[0], model.b[0], 2e-3);

@@ -1,16 +1,20 @@
-// Proves the allocation-free steady-state contract of the sharded
-// controller under both sweeps — Jacobi (DEUCON) and Gauss–Seidel (HIER):
-// once construction and a warm-up stretch have grown every buffer (shard
-// gather scratch, QP workspace, warm-start working sets) to its high-water
-// mark, a sampling period's update() — row gather, local MPC solves, rate
-// scatter included — touches the heap exactly zero times.
+// Heap-traffic proofs for the closed loop, through one replacement global
+// operator new (same idiom as qp_alloc_test; it stays a separate binary so
+// the hook never colors another test's measurements):
 //
-// The proof instrument is a replacement global operator new in this TU
-// (same idiom as qp_alloc_test; it stays a separate binary so the hook
-// never colors another test's measurements).
+//   * the sharded controller's steady state is allocation-free under both
+//     sweeps — Jacobi (DEUCON) and Gauss–Seidel (HIER): once construction
+//     and a warm-up stretch have grown every buffer (shard gather scratch,
+//     QP workspace, warm-start working sets) to its high-water mark, a
+//     sampling period's update() touches the heap exactly zero times;
+//   * run_experiment builds the plant model in CSR: a sharded run never
+//     allocates a block the size of the dense n×m F;
+//   * the simulator frees each requested rate vector once it is applied,
+//     so the live heap stays flat over a long run.
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include <gtest/gtest.h>
@@ -18,32 +22,71 @@
 #include "control/hierarchical.h"
 #include "control/model.h"
 #include "control/sparse_model.h"
+#include "eucon/experiment.h"
 #include "eucon/workloads.h"
+#include "rts/simulator.h"
 
 namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_largest{0};     // largest block while counting
+std::atomic<std::size_t> g_live_bytes{0};  // requested bytes not yet freed
+
+// Every block carries its size in a header, so delete can debit the live
+// total whichever operator delete overload frees it.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed))
+  if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (size == 0) size = 1;
-  void* p = std::malloc(size);
+    std::size_t largest = g_largest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest.compare_exchange_weak(largest, size,
+                                            std::memory_order_relaxed)) {
+    }
+  }
+  g_live_bytes.fetch_add(size, std::memory_order_relaxed);
+  auto* base = static_cast<unsigned char*>(std::malloc(size + kHeader));
   // Allocation failure in a unit test is unrecoverable; abort instead of
   // throwing so this TU stays clear of the raw-throw rule.
-  if (p == nullptr) std::abort();
-  return p;
+  if (base == nullptr) std::abort();
+  std::memcpy(base, &size, sizeof size);
+  return base + kHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  unsigned char* base = static_cast<unsigned char*>(p) - kHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, base, sizeof size);
+  g_live_bytes.fetch_sub(size, std::memory_order_relaxed);
+  std::free(base);
 }
 
 }  // namespace
 
+// The nothrow forms are replaced too: std::stable_sort takes its buffer
+// through them, and a sanitizer runtime would otherwise serve them without
+// the size header.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace eucon::control {
 namespace {
@@ -53,10 +96,12 @@ using linalg::Vector;
 struct CountScope {
   CountScope() {
     g_allocs.store(0);
+    g_largest.store(0);
     g_counting.store(true);
   }
   ~CountScope() { g_counting.store(false); }
   static std::size_t count() { return g_allocs.load(); }
+  static std::size_t largest() { return g_largest.load(); }
 };
 
 // Jiggle one measurement around its set point so every counted update does
@@ -119,6 +164,69 @@ TEST(DecentralizedAllocTest, HierarchicalUpdateIsAllocationFreeAfterWarmup) {
     }
   }
   EXPECT_EQ(CountScope::count(), 0u);
+}
+
+// chain_cluster at n = 512 (m = 1024) under both sharded controllers: the
+// dense F would be one block of n·m doubles (4 MiB); nothing the CSR model,
+// the shards, the simulator or the trace allocate comes close.
+TEST(ExperimentAllocTest, ShardedRunsNeverAllocateTheDenseModel) {
+  workloads::ChainClusterParams params;
+  params.num_processors = 512;
+  params.tasks_per_processor = 2;
+  params.chain_length = 3;
+  params.subtask_decay = 0.15;
+  ExperimentConfig cfg;
+  cfg.spec = workloads::chain_cluster(params, 4100);
+  cfg.mpc.prediction_horizon = 2;
+  cfg.mpc.control_horizon = 1;
+  cfg.mpc.constraint_mode = ConstraintMode::kSoftOnly;
+  cfg.num_periods = 2;
+  const std::size_t dense_bytes =
+      static_cast<std::size_t>(params.num_processors) * cfg.spec.num_tasks() *
+      sizeof(double);
+  ASSERT_EQ(cfg.spec.num_tasks(), 1024u);
+
+  for (const ControllerKind kind :
+       {ControllerKind::kHierarchical, ControllerKind::kDecentralized}) {
+    cfg.controller = kind;
+    std::size_t largest = 0;
+    {
+      const CountScope scope;
+      const ExperimentResult r = run_experiment(cfg);
+      largest = CountScope::largest();
+      ASSERT_EQ(r.trace.size(), 2u);
+    }
+    EXPECT_LT(largest, dense_bytes) << controller_kind_name(kind);
+  }
+}
+
+// 1,000 extra periods of run → sample → set_rates on MEDIUM. Each request
+// is m doubles; a store that kept them would grow the live heap by at
+// least 1000·m·8 bytes. The allowance covers jobs in flight, which differ
+// from one sampling instant to the next.
+TEST(SimulatorHeapTest, LiveHeapStaysFlatUnderRateRequests) {
+  const rts::SystemSpec spec = workloads::medium();
+  rts::SimOptions opts;
+  opts.jitter = 0.1;
+  rts::Simulator sim(spec, opts);
+  std::vector<double> rates = spec.initial_rate_vector().data();
+  const Ticks ts = units_to_ticks(1000.0);
+  Ticks t = 0;
+  const auto period = [&](int k) {
+    t += ts;
+    sim.run_until(t);
+    (void)sim.sample_utilizations();
+    rates[0] =
+        spec.tasks[0].rate_min * (1.5 + 0.5 * static_cast<double>(k % 3));
+    sim.set_rates(rates);
+  };
+  for (int k = 0; k < 200; ++k) period(k);
+  const std::size_t before = g_live_bytes.load();
+  for (int k = 0; k < 1000; ++k) period(k);
+  const std::size_t after = g_live_bytes.load();
+  const std::size_t allowance = 100 * spec.num_tasks() * sizeof(double);
+  EXPECT_LT(after, before + allowance)
+      << "live heap grew by " << after - before << " bytes";
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "control/hierarchical.h"
-#include "control/linear_plant.h"
 #include "control/sparse_model.h"
 #include "eucon/experiment.h"
 #include "eucon/metrics.h"
@@ -97,7 +96,7 @@ TEST(DecentralizedTest, EachShardSolvesAgainstTheRawMeasurement) {
         std::make_unique<MpcController>(local, params, local_r0));
   }
 
-  LinearPlant plant(model, Vector(4, 0.8), r0);
+  SparseLinearPlant plant(sparsify(model), Vector(4, 0.8), r0);
   Vector u = plant.utilization();
   for (int k = 0; k < 30; ++k) {
     const Vector& r = ctrl->update(u);
@@ -119,7 +118,7 @@ TEST(DecentralizedTest, ConvergesOnLinearPlantSimple) {
   const PlantModel model = make_plant_model(workloads::simple());
   const Vector r0 = workloads::simple().initial_rate_vector();
   const auto ctrl = deucon(model, workloads::simple_controller_params(), r0);
-  LinearPlant plant(model, Vector{1.0, 1.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0}, r0);
   Vector u = plant.utilization();
   for (int k = 0; k < 150; ++k) u = plant.step(ctrl->update(u));
   EXPECT_NEAR(u[0], model.b[0], 0.01);
@@ -130,7 +129,7 @@ TEST(DecentralizedTest, ConvergesOnLinearPlantMedium) {
   const PlantModel model = make_plant_model(workloads::medium());
   const Vector r0 = workloads::medium().initial_rate_vector();
   const auto ctrl = deucon(model, workloads::medium_controller_params(), r0);
-  LinearPlant plant(model, Vector(4, 0.7), r0);
+  SparseLinearPlant plant(sparsify(model), Vector(4, 0.7), r0);
   Vector u = plant.utilization();
   for (int k = 0; k < 250; ++k) u = plant.step(ctrl->update(u));
   for (std::size_t p = 0; p < 4; ++p)

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "control/linear_plant.h"
 #include "control/sparse_model.h"
 #include "control/topology.h"
 #include "eucon/experiment.h"
@@ -156,22 +155,6 @@ TEST(HierarchicalTest, ShardedConvergesToCentralFixpointOnSmallClusters) {
   }
 }
 
-TEST(HierarchicalTest, CoordinationGainDampsBoundaryActuation) {
-  const rts::SystemSpec spec = workloads::chain_cluster(chain_params(32), 9);
-  const SparsePlantModel model = make_sparse_plant_model(spec);
-  const Vector r0 = spec.initial_rate_vector();
-  HierarchicalParams hier;
-  hier.shard_size = 8;
-  hier.coordination_gain = 0.5;
-  HierarchicalMpcController ctrl(model, cluster_params(), hier, r0);
-  // Damped coordination still converges to the same fixpoint, just slower.
-  SparseLinearPlant plant(model, Vector(model.num_processors(), 1.0), r0);
-  Vector u = plant.utilization();
-  for (int k = 0; k < 200; ++k) u = plant.step(ctrl.update(u));
-  for (std::size_t p = 0; p < model.num_processors(); ++p)
-    EXPECT_NEAR(u[p], model.b[p], 0.005) << "P" << p;
-}
-
 TEST(HierarchicalTest, SharedWorkspaceSizesToLargestShard) {
   const rts::SystemSpec spec = workloads::chain_cluster(chain_params(64), 13);
   const SparsePlantModel model = make_sparse_plant_model(spec);
@@ -245,10 +228,6 @@ TEST(HierarchicalTest, RejectsBadConfig) {
   const Vector r0 = workloads::simple().initial_rate_vector();
   HierarchicalParams bad;
   bad.shard_size = 0;
-  EXPECT_THROW(HierarchicalMpcController(model, cluster_params(), bad, r0),
-               std::invalid_argument);
-  bad.shard_size = 4;
-  bad.coordination_gain = 0.0;
   EXPECT_THROW(HierarchicalMpcController(model, cluster_params(), bad, r0),
                std::invalid_argument);
   HierarchicalParams ok;

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "eucon/workloads.h"
 #include "linalg/qr.h"
 
@@ -99,7 +99,7 @@ TEST(MpcControllerTest, ConvergesOnLinearPlantNominalGain) {
   const PlantModel model = simple_model();
   const Vector r0 = workloads::simple().initial_rate_vector();
   MpcController ctrl(model, workloads::simple_controller_params(), r0);
-  LinearPlant plant(model, Vector{1.0, 1.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0}, r0);
 
   Vector u = plant.utilization();
   for (int k = 0; k < 60; ++k) u = plant.step(ctrl.update(u));
@@ -113,7 +113,7 @@ TEST(MpcControllerTest, ConvergesOnLinearPlantMismatchedGains) {
   const Vector r0 = workloads::simple().initial_rate_vector();
   for (double g : {0.5, 2.0, 4.0}) {
     MpcController ctrl(model, workloads::simple_controller_params(), r0);
-    LinearPlant plant(model, Vector{g, g}, r0);
+    SparseLinearPlant plant(sparsify(model), Vector{g, g}, r0);
     Vector u = plant.utilization();
     for (int k = 0; k < 150; ++k) u = plant.step(ctrl.update(u));
     EXPECT_NEAR(u[0], model.b[0], 5e-3) << "gain " << g;
@@ -126,7 +126,7 @@ TEST(MpcControllerTest, DivergesOnLinearPlantBeyondCriticalGain) {
   const Vector r0 = workloads::simple().initial_rate_vector();
   MpcController ctrl(model, workloads::simple_controller_params(), r0);
   // Gain 8 > critical (~6.5): tracking error must not settle.
-  LinearPlant plant(model, Vector{8.0, 8.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{8.0, 8.0}, r0);
   Vector u = plant.utilization();
   double late_error = 0.0;
   for (int k = 0; k < 200; ++k) {
@@ -200,7 +200,7 @@ TEST(MpcControllerTest, SetPointChangeRetargets) {
   const Vector r0 = workloads::simple().initial_rate_vector();
   MpcController ctrl(model, workloads::simple_controller_params(), r0);
   ctrl.set_set_points(Vector{0.5, 0.5});
-  LinearPlant plant(model, Vector{1.0, 1.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0}, r0);
   Vector u = plant.utilization();
   for (int k = 0; k < 80; ++k) u = plant.step(ctrl.update(u));
   EXPECT_NEAR(u[0], 0.5, 1e-3);
@@ -234,7 +234,7 @@ TEST_P(MpcGainSweep, SettlesWithinStableRegion) {
   params.constraint_mode = ConstraintMode::kSoftOnly;
   const Vector r0 = workloads::simple().initial_rate_vector();
   MpcController ctrl(model, params, r0);
-  LinearPlant plant(model, Vector{gain, gain}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{gain, gain}, r0);
   plant.set_utilization(Vector{0.4, 0.4});  // stay off the saturation rails
   Vector u = plant.utilization();
   for (int k = 0; k < 400; ++k) u = plant.step(ctrl.update(u));
@@ -255,7 +255,7 @@ TEST(MpcControllerTest, HardConstraintLimitCyclesAtHighGain) {
   const PlantModel model = simple_model();
   const Vector r0 = workloads::simple().initial_rate_vector();
   MpcController ctrl(model, workloads::simple_controller_params(), r0);
-  LinearPlant plant(model, Vector{5.0, 5.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{5.0, 5.0}, r0);
   Vector u = plant.utilization();
   double late_dev = 0.0;
   for (int k = 0; k < 300; ++k) {

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "control/mpc.h"
 #include "control/stability.h"
 #include "eucon/workloads.h"
@@ -86,7 +86,7 @@ TEST(PenaltyFormTest, MarginalModeIsUnreachableInClosedLoop) {
     MpcParams p = params_with(form);
     p.constraint_mode = ConstraintMode::kSoftOnly;
     MpcController ctrl(model, p, r0);
-    LinearPlant plant(model, Vector{1.0, 1.0}, r0);
+    SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0}, r0);
     Vector u = plant.utilization();
     Vector prev_rates = r0, rates = r0;
     double late_rate_motion = 0.0;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "eucon/workloads.h"
 
 namespace eucon::control {
@@ -14,7 +14,7 @@ TEST(PidTest, ConvergesOnNominalLinearPlant) {
   const PlantModel model = make_plant_model(workloads::simple());
   const Vector r0 = workloads::simple().initial_rate_vector();
   PidController pid(model, PidParams{}, r0);
-  LinearPlant plant(model, Vector{1.0, 1.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0}, r0);
   Vector u = plant.utilization();
   for (int k = 0; k < 300; ++k) u = plant.step(pid.update(u));
   EXPECT_NEAR(u[0], model.b[0], 0.01);
@@ -43,7 +43,7 @@ TEST(PidTest, LessRobustThanMpcAtHighGain) {
   aggressive.kp = 0.5;
   aggressive.ki = 0.8;
   PidController pid(model, aggressive, r0);
-  LinearPlant plant(model, Vector{4.0, 4.0}, r0);
+  SparseLinearPlant plant(sparsify(model), Vector{4.0, 4.0}, r0);
   Vector u = plant.utilization();
   double late_error = 0.0;
   for (int k = 0; k < 200; ++k) {

@@ -39,6 +39,23 @@ TEST(SparseTest, FromTripletsSumsDuplicates) {
   EXPECT_DOUBLE_EQ(s.at(1, 0), 0.0);
 }
 
+TEST(SparseTest, DuplicatesSumInInputOrder) {
+  // Rounding makes the sum order-dependent: 1e16 + 1 rounds back to 1e16.
+  // Enough duplicates, interleaved with other coordinates, that an unstable
+  // sort would reorder them; the builder must sum them as listed, like a
+  // dense += loop over the same input.
+  std::vector<Triplet> entries;
+  double expected = 0.0;
+  for (int i = 0; i < 64; ++i) {
+    const double v = i == 0 ? 1e16 : (i == 63 ? -1e16 : 1.0);
+    entries.push_back({0, 0, v});
+    entries.push_back({1, static_cast<std::size_t>(i % 2), 1.0});
+    expected += v;
+  }
+  const SparseMatrix s = SparseMatrix::from_triplets(2, 2, entries);
+  EXPECT_EQ(s.at(0, 0), expected);
+}
+
 TEST(SparseTest, FromDenseRoundTrips) {
   const Matrix d = reference_dense();
   const SparseMatrix s = SparseMatrix::from_dense(d);

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "eucon/workloads.h"
 
 namespace eucon::control {
@@ -127,7 +127,7 @@ TEST_P(StabilityPrediction, AnalysisAgreesWithLinearPlantSimulation) {
   soft.constraint_mode = ConstraintMode::kSoftOnly;
   const Vector r0 = workloads::simple().initial_rate_vector();
   MpcController ctrl(wide, soft, r0);
-  LinearPlant plant(wide, Vector{gain, gain}, r0);
+  SparseLinearPlant plant(sparsify(wide), Vector{gain, gain}, r0);
   // Nudge off the equilibrium and watch whether the error contracts.
   plant.set_utilization(Vector{0.4, 0.4});
   Vector u = plant.utilization();

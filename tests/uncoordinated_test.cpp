@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "control/linear_plant.h"
+#include "control/sparse_model.h"
 #include "eucon/eucon.h"
 
 namespace eucon::control {
@@ -56,7 +56,8 @@ TEST(UncoordinatedTest, WorksWhenTasksAreActuallyIndependent) {
   const PlantModel model = make_plant_model(s, Vector{0.75, 0.6});
   UncoordinatedFcsController ctrl(model, UncoordinatedParams{},
                                   s.initial_rate_vector());
-  LinearPlant plant(model, Vector{1.0, 1.0}, s.initial_rate_vector());
+  SparseLinearPlant plant(sparsify(model), Vector{1.0, 1.0},
+                          s.initial_rate_vector());
   Vector u = plant.utilization();
   for (int k = 0; k < 300; ++k) u = plant.step(ctrl.update(u));
   EXPECT_NEAR(u[0], 0.75, 0.02);
