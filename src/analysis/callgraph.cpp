@@ -36,14 +36,7 @@ const std::set<std::string>& plain_specifiers() {
 struct Annotations {
   bool realtime = false;
   bool ok[kRtCategoryCount] = {false, false, false};
-  std::vector<std::string> requires_args;  // EUCON_REQUIRES(...)
-  std::vector<std::string> excludes_args;  // EUCON_EXCLUDES(...)
 };
-
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 bool annotation_name(const std::string& text, Annotations& out) {
   if (text == "EUCON_REALTIME") {
@@ -166,12 +159,7 @@ class CallGraphExtractor {
  public:
   CallGraphExtractor(CallGraph& graph, const std::string& file,
                      const std::vector<Token>& code)
-      : graph_(graph), file_(file), c_(code) {
-    // common/mutex.h implements the lock primitives themselves; its bodies
-    // (m_.lock(), cv_.wait(lock.lock_)) are the mechanism, not users of it,
-    // so lock-fact extraction skips the file.
-    lock_extract_ = !has_suffix(file, "common/mutex.h");
-  }
+      : graph_(graph), file_(file), c_(code) {}
 
   void run() {
     std::size_t i = 0;
@@ -228,45 +216,6 @@ class CallGraphExtractor {
     return i;
   }
 
-  // Renders the argument list opened at `lparen` into name expressions: one
-  // string per top-level comma-separated argument, concatenating its
-  // identifier / '::' / '.' / '->' tokens ("progress.mu", "std::defer_lock").
-  // A '!'-negated argument (negative capability) is dropped.
-  std::vector<std::string> paren_name_args(std::size_t lparen) const {
-    std::vector<std::string> out;
-    if (!in_range(lparen) || !punct_is(c_[lparen], "(")) return out;
-    int depth = 0;
-    std::string cur;
-    bool negated = false;
-    for (std::size_t j = lparen; in_range(j); ++j) {
-      const Token& t = c_[j];
-      if (t.kind == TokenKind::kPunct) {
-        if (t.text == "(") {
-          ++depth;
-          continue;
-        }
-        if (t.text == ")") {
-          if (--depth == 0) {
-            if (!negated && !cur.empty()) out.push_back(cur);
-            break;
-          }
-          continue;
-        }
-        if (t.text == "," && depth == 1) {
-          if (!negated && !cur.empty()) out.push_back(cur);
-          cur.clear();
-          negated = false;
-          continue;
-        }
-        if (t.text == "!") negated = true;
-        if (t.text == "." || t.text == "->" || t.text == "::") cur += t.text;
-        continue;
-      }
-      if (t.kind == TokenKind::kIdentifier) cur += t.text;
-    }
-    return out;
-  }
-
   std::string qualify(const std::string& name) const {
     std::string q;
     for (const Scope& s : scopes_) {
@@ -297,16 +246,6 @@ class CallGraphExtractor {
           punct_is(c_[i + 2], "{")) {
         scopes_.push_back({"", false});  // extern "C" { — transparent
         return i + 3;
-      }
-      if (t.text == "EUCON_ACQUIRED_BEFORE" && in_range(i + 1) &&
-          punct_is(c_[i + 1], "(")) {
-        handle_acquired_before(i);
-        return skip_balanced(i + 1, "(", ")");
-      }
-      if (t.text == "function" && innermost_is_class() && in_range(i + 1) &&
-          punct_is(c_[i + 1], "<")) {
-        const std::size_t next = try_callback_field(i);
-        if (next != i) return next;
       }
       if (in_range(i + 1) && punct_is(c_[i + 1], "(")) {
         const std::size_t next = try_function(i);
@@ -423,34 +362,6 @@ class CallGraphExtractor {
     return p.kind == TokenKind::kDirective;
   }
 
-  // `EUCON_ACQUIRED_BEFORE(...)` trailing a mutex member declaration:
-  // `Mutex a_ EUCON_ACQUIRED_BEFORE(b_);` declares the ordering a_ < b_.
-  // The member name is the identifier left of the macro, skipping over any
-  // earlier `MACRO(...)` trailers; both sides qualify under the enclosing
-  // class scope.
-  void handle_acquired_before(std::size_t i) {
-    if (i == 0) return;
-    std::size_t j = i - 1;
-    while (punct_is(c_[j], ")")) {
-      int depth = 0;
-      while (j > 0) {
-        if (punct_is(c_[j], ")")) {
-          ++depth;
-        } else if (punct_is(c_[j], "(")) {
-          if (--depth == 0) break;
-        }
-        --j;
-      }
-      if (j < 2) return;  // unbalanced or nothing left of the group
-      j -= 2;             // past the preceding macro's name
-    }
-    if (c_[j].kind != TokenKind::kIdentifier) return;
-    const std::string first = qualify(c_[j].text);
-    for (const std::string& arg : paren_name_args(i + 1))
-      graph_.declared_order_.push_back({first, qualify(arg), file_,
-                                        c_[i].line});
-  }
-
   // `Type name ;|=|{...}|EUCON_*` at class scope: a data-member
   // declaration. Records name -> type leaf for the typed member-call
   // narrowing in finalize(): `qp::QpWorkspace* ws_` records ws_ ->
@@ -502,29 +413,7 @@ class CallGraphExtractor {
          after.text.rfind("EUCON_", 0) == 0);
     if (!field_shape) return i;
     graph_.field_types_[fname].insert(leaf);
-    // A std::function-typed field is also a user-suppliable callback for
-    // the callback-under-lock rule (try_callback_field's shape, which this
-    // parse now reaches first for qualified spellings).
-    if (leaf == "function") graph_.callback_fields_.insert(fname);
     return j + 1;
-  }
-
-  // `function<...> name ;|=|EUCON_*` at class scope: a std::function-typed
-  // field, i.e. a user-suppliable callback for the callback-under-lock
-  // rule. Returns i when the shape doesn't match.
-  std::size_t try_callback_field(std::size_t i) {
-    const std::size_t a = skip_angles(i + 1);
-    if (a == i + 1 || !in_range(a) || c_[a].kind != TokenKind::kIdentifier)
-      return i;
-    if (!in_range(a + 1)) return i;
-    const Token& after = c_[a + 1];
-    const bool field_shape =
-        punct_is(after, ";") || punct_is(after, "=") ||
-        (after.kind == TokenKind::kIdentifier &&
-         after.text.rfind("EUCON_", 0) == 0);
-    if (!field_shape) return i;
-    graph_.callback_fields_.insert(c_[a].text);
-    return a + 1;
   }
 
   // c_[i] is an identifier directly followed by '('. Try to parse a
@@ -645,18 +534,9 @@ class CallGraphExtractor {
           continue;
         }
         if (annotation_name(t.text, ann) || skippable_annotation(t.text)) {
-          const bool is_req = t.text == "EUCON_REQUIRES";
-          const bool is_excl = t.text == "EUCON_EXCLUDES";
           ++j;
-          if (in_range(j) && punct_is(c_[j], "(")) {
-            if (is_req || is_excl) {
-              std::vector<std::string>& dst =
-                  is_req ? ann.requires_args : ann.excludes_args;
-              for (std::string& a : paren_name_args(j))
-                dst.push_back(std::move(a));
-            }
+          if (in_range(j) && punct_is(c_[j], "("))
             j = skip_balanced(j, "(", ")");
-          }
           continue;
         }
         return name_idx;  // stray identifier: not a function head
@@ -752,10 +632,6 @@ class CallGraphExtractor {
         innermost_is_class() || name.find("::") != std::string::npos;
     fn.realtime = ann.realtime;
     for (int k = 0; k < kRtCategoryCount; ++k) fn.ok[k] = ann.ok[k];
-    if (lock_extract_) {
-      fn.lock_requires = ann.requires_args;
-      fn.lock_excludes = ann.excludes_args;
-    }
     if (defined) scan_body(fn, body_begin, body_end);
     graph_.add_function(std::move(fn));
   }
@@ -767,7 +643,7 @@ class CallGraphExtractor {
 
   // Receiver expression of the member call whose name is at `k` (c_[k-1]
   // is '.' or '->'): the `ident (. | -> | ::) ...` chain to its left,
-  // rendered as spelled ("mutex_", "progress.mu"). Empty when there is no
+  // rendered as spelled ("shard.local", "solver_"). Empty when there is no
   // plain name chain (e.g. a call or index expression as receiver).
   std::string receiver_expr(std::size_t k, std::size_t begin) const {
     std::size_t s = k;
@@ -781,127 +657,16 @@ class CallGraphExtractor {
     return r;
   }
 
-  // Flat scan of a body range for call sites, direct violations, and (when
-  // lock_extract_) lexical held-lock tracking: RAII lock scopes release at
-  // their closing brace, explicit lock()/try_lock() hold until unlock() or
-  // the end of the body. The held set is attached to every call site,
-  // acquisition, and blocking site; lockgraph.cpp qualifies the names and
-  // propagates them along call edges.
+  // Flat scan of a body range for call sites and direct violations.
   void scan_body(CgFunction& fn, std::size_t begin, std::size_t end) {
-    std::vector<std::vector<std::string>> raii(1);  // per open brace
-    std::vector<std::string> held;                  // acquisition order
-    std::map<std::string, std::string> lock_vars;   // RAII var -> mutex
-
-    const auto release = [&held](const std::string& mu) {
-      for (std::size_t r = held.size(); r-- > 0;)
-        if (held[r] == mu) {
-          held.erase(held.begin() + static_cast<std::ptrdiff_t>(r));
-          return;
-        }
-    };
-
-    // RAII lock at `k`: `LockType <...>? name? ( mutex... )`. Registers the
-    // acquisition(s) and schedules release at the enclosing brace.
-    const auto raii_lock = [&](std::size_t k) {
-      std::size_t j = k + 1;
-      if (j < end && punct_is(c_[j], "<")) {
-        const std::size_t a = skip_angles(j);
-        if (a == j) return;
-        j = a;
-      }
-      std::string var;
-      if (j < end && c_[j].kind == TokenKind::kIdentifier) {
-        var = c_[j].text;
-        ++j;
-      }
-      if (j >= end || !punct_is(c_[j], "(")) return;
-      bool deferred = false;
-      std::vector<std::string> mutexes;
-      for (std::string& a : paren_name_args(j)) {
-        if (has_suffix(a, "defer_lock")) {
-          deferred = true;
-        } else if (!has_suffix(a, "adopt_lock") &&
-                   !has_suffix(a, "try_to_lock")) {
-          mutexes.push_back(std::move(a));
-        }
-      }
-      for (const std::string& m : mutexes) {
-        if (!deferred) {
-          fn.acquires.push_back(
-              {m, true, held, file_, c_[k].line, c_[k].col});
-          held.push_back(m);
-          raii.back().push_back(m);
-        }
-        if (!var.empty() && !lock_vars.count(var)) lock_vars[var] = m;
-      }
-    };
-
-    // First argument of the call at `k` is a declared RAII lock variable —
-    // the CondVar::wait(MutexLock&) / wait_for(MutexLock&, dur) shape,
-    // which releases the mutex while blocked and is not a held-wait.
-    const auto waits_through_lock = [&](std::size_t k) {
-      return k + 2 < end && c_[k + 2].kind == TokenKind::kIdentifier &&
-             lock_vars.count(c_[k + 2].text) > 0 && k + 3 < end &&
-             (punct_is(c_[k + 3], ",") || punct_is(c_[k + 3], ")"));
-    };
-
-    const auto block_site = [&](const Token& t, const char* detail) {
-      fn.block_sites.push_back(
-          {t.text, detail, held, file_, t.line, t.col});
-    };
-
     for (std::size_t k = begin; k < end && k < c_.size(); ++k) {
       const Token& t = c_[k];
-      if (lock_extract_ && t.kind == TokenKind::kPunct) {
-        if (t.text == "{") {
-          raii.emplace_back();
-        } else if (t.text == "}" && raii.size() > 1) {
-          for (auto r = raii.back().rbegin(); r != raii.back().rend(); ++r)
-            release(*r);
-          raii.pop_back();
-        }
-        continue;
-      }
       if (t.kind != TokenKind::kIdentifier) continue;
       const bool has_next = k + 1 < end;
       const bool next_is_call = has_next && punct_is(c_[k + 1], "(");
       const Token* prev = k > 0 ? &c_[k - 1] : nullptr;
       const bool after_member_op =
           prev != nullptr && (punct_is(*prev, ".") || punct_is(*prev, "->"));
-
-      // --- lock facts (held sets must be current before anything below
-      // copies them) ----------------------------------------------------
-      if (lock_extract_) {
-        if (lock_types().count(t.text)) {
-          raii_lock(k);
-        } else if (after_member_op && next_is_call &&
-                   (t.text == "lock" || t.text == "unlock" ||
-                    t.text == "try_lock")) {
-          const std::string recv = receiver_expr(k, begin);
-          if (!recv.empty()) {
-            if (t.text == "unlock") {
-              release(recv);
-            } else {
-              fn.acquires.push_back({recv, t.text == "lock", held, file_,
-                                     t.line, t.col});
-              held.push_back(recv);
-            }
-          }
-        } else if (after_member_op && next_is_call &&
-                   (t.text == "wait" || t.text == "wait_for" ||
-                    t.text == "wait_until")) {
-          if (!waits_through_lock(k))
-            block_site(t, "blocks on a condition or future");
-        } else if (after_member_op && next_is_call &&
-                   (t.text == "join" || t.text == "flush")) {
-          block_site(t, "blocks until pending work completes");
-        } else if (!after_member_op && next_is_call &&
-                   block_calls().count(t.text)) {
-          block_site(t, "performs blocking I/O or sleeps");
-        } else if (!after_member_op && block_idents().count(t.text)) {
-          block_site(t, "performs stream I/O");
-        }
-      }
 
       // --- direct violations -------------------------------------------
       if (t.text == "new") {
@@ -969,7 +734,7 @@ class CallGraphExtractor {
           (punct_is(*cprev, ".") || punct_is(*cprev, "->"));
       fn.calls.push_back({member ? t.text : cname, member,
                           member ? receiver_expr(k, begin) : std::string(),
-                          t.line, t.col, held, {}});
+                          t.line, t.col});
     }
   }
 
@@ -1003,7 +768,6 @@ class CallGraphExtractor {
   const std::string& file_;
   const std::vector<Token>& c_;
   std::vector<Scope> scopes_;
-  bool lock_extract_ = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -1042,18 +806,6 @@ std::size_t CallGraph::add_function(CgFunction fn) {
   dst.realtime = dst.realtime || fn.realtime;
   for (int k = 0; k < kRtCategoryCount; ++k) dst.ok[k] = dst.ok[k] || fn.ok[k];
   dst.calls.insert(dst.calls.end(), fn.calls.begin(), fn.calls.end());
-  for (const std::string& m : fn.lock_requires)
-    if (std::find(dst.lock_requires.begin(), dst.lock_requires.end(), m) ==
-        dst.lock_requires.end())
-      dst.lock_requires.push_back(m);
-  for (const std::string& m : fn.lock_excludes)
-    if (std::find(dst.lock_excludes.begin(), dst.lock_excludes.end(), m) ==
-        dst.lock_excludes.end())
-      dst.lock_excludes.push_back(m);
-  dst.acquires.insert(dst.acquires.end(), fn.acquires.begin(),
-                      fn.acquires.end());
-  dst.block_sites.insert(dst.block_sites.end(), fn.block_sites.begin(),
-                         fn.block_sites.end());
   for (CgViolation& v : fn.violations) {
     const bool dup = std::any_of(
         dst.violations.begin(), dst.violations.end(), [&](const CgViolation& d) {
@@ -1113,7 +865,7 @@ void CallGraph::finalize() {
       }
       prefixes.push_back("");
     }
-    for (CgCall& call : fn.calls) {
+    for (const CgCall& call : fn.calls) {
       bool resolved = false;
       std::set<std::size_t> targets;
       if (call.member) {
@@ -1201,7 +953,6 @@ void CallGraph::finalize() {
         }
       }
       if (!resolved) unresolved.insert(call.name);
-      call.targets.assign(targets.begin(), targets.end());
       edges.insert(targets.begin(), targets.end());
     }
     fn.callees.assign(edges.begin(), edges.end());

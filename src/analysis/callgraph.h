@@ -4,14 +4,9 @@
 // add_file per translation unit or header; duplicate paths are ignored, so
 // a header seen both standalone and as a .cpp companion is parsed once),
 // extracts function definitions and annotated declarations with
-// scope-qualified names, records their call sites (with the locks held
-// lexically at each), their direct real-time violations, and their lock
-// facts — RAII/explicit mutex acquisitions, blocking sites,
-// EUCON_REQUIRES/EUCON_EXCLUDES preconditions, EUCON_ACQUIRED_BEFORE
-// declarations, std::function callback fields — and, after finalize(),
-// resolves call edges so check_realtime() can walk transitively from
-// every EUCON_REALTIME root and check_locks() can run the lock rule
-// family over the whole-repo lock graph (analysis/lockgraph.h).
+// scope-qualified names, records their call sites and direct real-time
+// violations, and, after finalize(), resolves call edges so
+// check_realtime() can walk transitively from every EUCON_REALTIME root.
 //
 // This is a lexer, not a compiler, so resolution is deliberately
 // conservative and over-approximate:
@@ -75,46 +70,6 @@ struct CgCall {
   std::string receiver;
   std::size_t line = 0;
   std::size_t col = 0;
-  // Mutexes held at this call site (lexical tracking: RAII lock scopes and
-  // explicit lock()/unlock()), as spelled in the body ("mutex_",
-  // "progress.mu"), in acquisition order. Qualified by lockgraph.cpp.
-  std::vector<std::string> held;
-  // Per-call resolved targets (indices into functions()); finalize() fills
-  // them alongside the merged per-function `callees` union.
-  std::vector<std::size_t> targets;
-};
-
-// One mutex acquisition observed in a body: an RAII lock construction or an
-// explicit lock()/try_lock() call.
-struct CgAcquire {
-  std::string mutex;  // spelled expression: "mutex_", "progress.mu"
-  bool blocking = true;  // false for try_lock (cannot be the blocked party)
-  std::vector<std::string> held_before;  // locally held at this point
-  std::string file;
-  std::size_t line = 0;
-  std::size_t col = 0;
-};
-
-// One direct blocking primitive (wait/join/sleep/IO) with the locally held
-// lock set at that point. CondVar::wait/wait_for through a MutexLock& are
-// excepted at extraction time and never recorded here.
-struct CgBlockSite {
-  std::string what;    // offending token, e.g. "join", "sleep_for"
-  std::string detail;  // verb phrase for the diagnostic
-  std::vector<std::string> held;
-  std::string file;
-  std::size_t line = 0;
-  std::size_t col = 0;
-};
-
-// One EUCON_ACQUIRED_BEFORE(...) declaration on a mutex member: `first`
-// must be acquired before `second` whenever both are held. Names are
-// scope-qualified at extraction time.
-struct CgDeclaredOrder {
-  std::string first;
-  std::string second;
-  std::string file;
-  std::size_t line = 0;
 };
 
 // One function node. Declarations and definitions with the same qualified
@@ -133,11 +88,6 @@ struct CgFunction {
   std::vector<std::size_t> callees;     // resolved edges, indices into
                                         // functions(); filled by finalize()
   std::vector<std::string> unresolved;  // distinct call names with no target
-  // Lock facts for check_locks() (lockgraph.cpp / lock_rules.cpp).
-  std::vector<std::string> lock_requires;  // EUCON_REQUIRES(...) arguments
-  std::vector<std::string> lock_excludes;  // EUCON_EXCLUDES(...) arguments
-  std::vector<CgAcquire> acquires;         // acquisition sites (body order)
-  std::vector<CgBlockSite> block_sites;    // blocking sites (body order)
 };
 
 class CallGraph {
@@ -168,23 +118,6 @@ class CallGraph {
   // finalize(). Implemented in realtime_rules.cpp.
   std::vector<Finding> check_realtime() const;
 
-  // Runs the three lock rules (lock-order-inversion, blocking-while-locked,
-  // callback-under-lock) over the interprocedural lock graph built from the
-  // recorded lock facts. Requires finalize(). Implemented in lock_rules.cpp
-  // on top of lockgraph.{h,cpp}.
-  std::vector<Finding> check_locks() const;
-
-  // std::function-typed class fields seen at class scope — candidate
-  // user-supplied callbacks for the callback-under-lock rule.
-  const std::set<std::string>& callback_fields() const {
-    return callback_fields_;
-  }
-
-  // Scope-qualified EUCON_ACQUIRED_BEFORE declarations, in add order.
-  const std::vector<CgDeclaredOrder>& declared_order() const {
-    return declared_order_;
-  }
-
   // Class-scope field and function-parameter declarations seen so far:
   // name -> declared class-type leaves (the pointee for smart-pointer
   // declarations). Unioned repo-wide; drives the typed member-call
@@ -202,9 +135,7 @@ class CallGraph {
   std::vector<CgFunction> functions_;
   std::map<std::string, std::size_t> by_qname_;
   std::set<std::string> files_;
-  std::set<std::string> callback_fields_;
   std::map<std::string, std::set<std::string>> field_types_;
-  std::vector<CgDeclaredOrder> declared_order_;
   // file -> line -> rules allowed on that line.
   std::map<std::string, std::map<std::size_t, std::set<std::string>>> allowed_;
   bool finalized_ = false;

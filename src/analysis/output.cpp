@@ -196,21 +196,11 @@ std::string render_text(const std::vector<Finding>& findings) {
 
 std::string render_json(const std::vector<Finding>& findings,
                         std::size_t baseline_suppressed) {
-  std::map<std::string, std::size_t> rule_counts;
-  for (const Finding& f : findings) ++rule_counts[f.rule];
   std::ostringstream out;
   out << "{\n"
-      << "  \"version\": 3,\n"
+      << "  \"version\": 4,\n"
       << "  \"count\": " << findings.size() << ",\n"
       << "  \"baseline_suppressed\": " << baseline_suppressed << ",\n"
-      << "  \"rule_counts\": {";
-  bool first = true;
-  for (const auto& [rule, count] : rule_counts) {
-    out << (first ? "" : ", ") << "\"" << json_escape(rule)
-        << "\": " << count;
-    first = false;
-  }
-  out << "},\n"
       << "  \"findings\": [";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];

@@ -80,11 +80,7 @@ std::string render_baseline(const std::vector<Finding>& findings);
 std::string render_text(const std::vector<Finding>& findings);
 
 // The machine-readable gate format:
-//   {"version": 3, "count": N, "baseline_suppressed": M,
-//    "rule_counts": {"<rule>": K, ...}, "findings": [...]}
-// rule_counts has one entry per rule with at least one finding, sorted by
-// rule name, so per-family burn-downs can be tracked without re-deriving
-// them from the findings array.
+//   {"version": 4, "count": N, "baseline_suppressed": M, "findings": [...]}
 std::string render_json(const std::vector<Finding>& findings,
                         std::size_t baseline_suppressed);
 

@@ -39,14 +39,6 @@ const std::vector<RuleInfo> kRegistry = {
      "lock/wait/sleep/IO/throw reachable from an EUCON_REALTIME function"},
     {"nondeterminism-in-realtime",
      "rand/time/clock read reachable from an EUCON_REALTIME function"},
-    {"lock-order-inversion",
-     "cycle in the mutex acquisition graph (or EUCON_EXCLUDES violated); "
-     "potential deadlock"},
-    {"blocking-while-locked",
-     "wait/join/sleep/IO reached with a mutex held (CondVar wait through "
-     "the MutexLock excepted)"},
-    {"callback-under-lock",
-     "user-supplied std::function field invoked with a mutex held"},
 };
 
 // Parses one comment token's suppression markers — e.g.
@@ -254,9 +246,6 @@ std::vector<Finding> lint_source(const std::string& display_path,
   std::vector<Finding> rt = graph.check_realtime();
   findings.insert(findings.end(), std::make_move_iterator(rt.begin()),
                   std::make_move_iterator(rt.end()));
-  std::vector<Finding> lk = graph.check_locks();
-  findings.insert(findings.end(), std::make_move_iterator(lk.begin()),
-                  std::make_move_iterator(lk.end()));
   return findings;
 }
 
@@ -268,9 +257,6 @@ std::vector<Finding> lint_file(const fs::path& path) {
   std::vector<Finding> rt = graph.check_realtime();
   findings.insert(findings.end(), std::make_move_iterator(rt.begin()),
                   std::make_move_iterator(rt.end()));
-  std::vector<Finding> lk = graph.check_locks();
-  findings.insert(findings.end(), std::make_move_iterator(lk.begin()),
-                  std::make_move_iterator(lk.end()));
   return findings;
 }
 
@@ -288,9 +274,6 @@ std::vector<Finding> run_lint(const std::vector<fs::path>& roots) {
   std::vector<Finding> rt = graph.check_realtime();
   findings.insert(findings.end(), std::make_move_iterator(rt.begin()),
                   std::make_move_iterator(rt.end()));
-  std::vector<Finding> lk = graph.check_locks();
-  findings.insert(findings.end(), std::make_move_iterator(lk.begin()),
-                  std::make_move_iterator(lk.end()));
   sort_findings(findings);
   return findings;
 }

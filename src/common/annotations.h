@@ -43,15 +43,6 @@
 #define EUCON_TRY_ACQUIRE(...) \
   EUCON_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define EUCON_EXCLUDES(...) EUCON_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-// Declares a global acquisition order between mutex members: a mutex
-// annotated EUCON_ACQUIRED_BEFORE(other) must always be taken before
-// `other` when both are held. clang checks it under -Wthread-safety-beta;
-// tools/eucon_lint reads it textually and folds the declared edges into the
-// whole-repo acquisition graph checked by rule lock-order-inversion.
-// clang only accepts arguments naming members of the same class, so keep
-// cross-class ordering contracts in comments plus the lint graph.
-#define EUCON_ACQUIRED_BEFORE(...) \
-  EUCON_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define EUCON_RETURN_CAPABILITY(x) EUCON_THREAD_ANNOTATION(lock_returned(x))
 #define EUCON_NO_THREAD_SAFETY_ANALYSIS \
   EUCON_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -8,7 +8,6 @@
 // hold — no extra state, no extra locking.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -61,16 +60,6 @@ class CondVar {
   // Atomically releases `lock`'s mutex and blocks; the mutex is reacquired
   // before returning. Spurious wakeups happen: wait in a predicate loop.
   void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  // Timed variant: releases, blocks for at most `timeout`, reacquires.
-  // Returns std::cv_status::timeout when the deadline passed without a
-  // notification. Same spurious-wakeup caveat as wait(): re-check the
-  // predicate (and the clock) on every return.
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& timeout) {
-    return cv_.wait_for(lock.lock_, timeout);
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -40,9 +40,9 @@ class ThreadPool {
   // Enqueues `fn` and returns the future for its result. The callable runs
   // exactly once on some worker; exceptions it throws are delivered through
   // the future. Safe to call from multiple threads — but never with the
-  // pool's own lock held (EUCON_EXCLUDES: re-acquiring mutex_ here would
-  // self-deadlock; the lint's lock-order rule enforces the contract on
-  // every transitive caller).
+  // pool's own lock held: re-acquiring mutex_ here would self-deadlock.
+  // EUCON_EXCLUDES states that contract, and clang's -Wthread-safety
+  // checks it.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
       EUCON_EXCLUDES(mutex_) {

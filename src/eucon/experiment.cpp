@@ -599,13 +599,13 @@ std::vector<ExperimentResult> run_batch(const std::vector<ExperimentSpec>& specs
           if (options.on_progress) {
             // Holding mu across the callback serializes invocations and
             // makes the (completed, total) sequence strictly increasing —
-            // that ordering IS the documented contract (experiment.h), so the
-            // callback-under-lock hold is deliberate. The price: a callback
-            // that blocks stalls every worker's progress report, and one
-            // that re-enters run_batch on this pool deadlocks.
+            // that ordering IS the documented contract (experiment.h), so
+            // the hold is deliberate. The price: a callback that blocks
+            // stalls every worker's progress report, and one that
+            // re-enters run_batch on this pool deadlocks.
             const MutexLock lock(progress.mu);
             ++progress.completed;
-            options.on_progress(progress.completed, total);  // eucon-lint: allow(callback-under-lock)
+            options.on_progress(progress.completed, total);
           }
         }));
   }

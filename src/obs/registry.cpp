@@ -67,10 +67,6 @@ Snapshot Registry::snapshot() const {
 
 void Registry::clear() {
   const MutexLock lock(mu_);
-  // Assignment instead of .clear(): a member .clear() call resolves
-  // conservatively to every clear() method in the lint's call graph, which
-  // would drag mu_ into unrelated classes' may-held sets while it is held
-  // here. Assignment has the same effect and no call edge.
   counters_ = {};
   gauges_ = {};
   timers_ = {};

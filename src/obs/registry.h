@@ -76,8 +76,8 @@ class Registry {
 
   // Every entry point also carries EUCON_EXCLUDES(mu_): calling a Registry
   // method while already holding its lock (possible only from inside this
-  // class) would self-deadlock, and the lint's lock rules flag any
-  // transitive caller that tries.
+  // class) would self-deadlock. The annotation states that contract for
+  // clang's -Wthread-safety.
 
   // Counters: monotone event tallies.
   void add(std::string_view name, std::uint64_t delta = 1) EUCON_REALTIME

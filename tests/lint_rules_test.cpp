@@ -32,16 +32,16 @@ bool has_rule(const std::vector<ea::Finding>& findings,
 // Registry
 // ---------------------------------------------------------------------------
 
+// The test name stays stable when the registry changes size; it holds 14.
 TEST(LintRegistryTest, AllSeventeenRulesRegistered) {
-  EXPECT_EQ(ea::rule_registry().size(), 17u);
+  EXPECT_EQ(ea::rule_registry().size(), 14u);
   for (const char* name :
        {"raw-assert", "float-equality", "banned-random",
         "using-namespace-header", "missing-pragma-once", "raw-throw",
         "narrowing-size-cast", "locked-field-access", "detached-thread",
         "blocking-in-callback", "nondeterministic-parallel",
         "allocation-in-realtime", "blocking-in-realtime",
-        "nondeterminism-in-realtime", "lock-order-inversion",
-        "blocking-while-locked", "callback-under-lock"})
+        "nondeterminism-in-realtime"})
     EXPECT_TRUE(ea::known_rule(name)) << name;
   EXPECT_FALSE(ea::known_rule("no-such-rule"));
 }
@@ -222,7 +222,7 @@ TEST(JsonOutputTest, SchemaFieldsPresentAndEscaped) {
   const std::vector<ea::Finding> findings{
       {"dir/a \"quoted\".cpp", 3, 7, "raw-throw", "line1\nline2"}};
   const std::string json = ea::render_json(findings, 2);
-  EXPECT_NE(json.find("\"version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"baseline_suppressed\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"file\": \"dir/a \\\"quoted\\\".cpp\""),
@@ -236,22 +236,7 @@ TEST(JsonOutputTest, SchemaFieldsPresentAndEscaped) {
 TEST(JsonOutputTest, EmptyFindingsStillWellFormed) {
   const std::string json = ea::render_json({}, 0);
   EXPECT_NE(json.find("\"count\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"rule_counts\": {}"), std::string::npos);
   EXPECT_NE(json.find("\"findings\": []"), std::string::npos);
-}
-
-TEST(JsonOutputTest, RuleCountsAggregatePerFamilySorted) {
-  const std::vector<ea::Finding> findings{
-      {"a.cpp", 1, 1, "raw-throw", "m"},
-      {"a.cpp", 2, 1, "lock-order-inversion", "m"},
-      {"b.cpp", 3, 1, "raw-throw", "m"},
-  };
-  const std::string json = ea::render_json(findings, 0);
-  // One entry per rule with findings, sorted by rule name.
-  EXPECT_NE(json.find("\"rule_counts\": {\"lock-order-inversion\": 1, "
-                      "\"raw-throw\": 2}"),
-            std::string::npos)
-      << json;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 // Unit tests for the realtime rule family (allocation-in-realtime,
 // blocking-in-realtime, nondeterminism-in-realtime): positive and negative
 // cases per rule, transitive propagation with the call chain in the
-// message, EUCON_*_OK trust boundaries, and line-level suppression.
-// Sources are linted in memory via lint_source.
+// message, EUCON_*_OK trust boundaries, line-level suppression, and
+// determinism of the report across file orders. Sources are linted in
+// memory via lint_source, or fed to one CallGraph for the multi-file case.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/callgraph.h"
+#include "analysis/lexer.h"
+#include "analysis/output.h"
 #include "analysis/rules.h"
 
 namespace ea = eucon::analysis;
@@ -20,6 +25,24 @@ std::vector<ea::Finding> findings_for(const std::vector<ea::Finding>& all,
   std::vector<ea::Finding> out;
   for (const ea::Finding& f : all)
     if (f.rule == rule) out.push_back(f);
+  return out;
+}
+
+// Tokenizes each (path, source) pair into one call graph, in the given
+// order, and returns its sorted realtime findings — the shape run_lint
+// feeds from real files.
+std::vector<ea::Finding> realtime_findings(
+    const std::vector<std::pair<std::string, std::string>>& files) {
+  ea::CallGraph g;
+  for (const auto& [path, src] : files) {
+    std::vector<ea::Token> code;
+    for (ea::Token& t : ea::tokenize(src))
+      if (t.kind != ea::TokenKind::kComment) code.push_back(std::move(t));
+    g.add_file(path, code, {});
+  }
+  g.finalize();
+  std::vector<ea::Finding> out = g.check_realtime();
+  ea::sort_findings(out);
   return out;
 }
 
@@ -104,6 +127,24 @@ TEST(RealtimeBlockTest, FiresOnLockAndThrow) {
   EXPECT_EQ(f[1].line, 3u);
 }
 
+TEST(RealtimeBlockTest, FiresOnRaiiLockConstruction) {
+  const auto all = ea::lint_source("a.cpp",
+                                   "void tick() EUCON_REALTIME {\n"
+                                   "  MutexLock l(mu_);\n"
+                                   "  std::lock_guard<std::mutex> g(m);\n"
+                                   "}\n");
+  const auto f = findings_for(all, "blocking-in-realtime");
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].line, 2u);
+  EXPECT_NE(f[0].message.find("'MutexLock' acquires a lock"),
+            std::string::npos)
+      << f[0].message;
+  EXPECT_EQ(f[1].line, 3u);
+  EXPECT_NE(f[1].message.find("'lock_guard' acquires a lock"),
+            std::string::npos)
+      << f[1].message;
+}
+
 TEST(RealtimeBlockTest, FiresOnSleepTransitively) {
   const auto all = ea::lint_source(
       "a.cpp",
@@ -177,6 +218,49 @@ TEST(RealtimeSuppressionTest, SharedHelperReportedOncePerSite) {
   ASSERT_EQ(f.size(), 1u);
   EXPECT_NE(f[0].message.find("tick_a -> helper"), std::string::npos)
       << f[0].message;
+}
+
+// ---------------------------------------------------------------------------
+// Multi-file determinism
+// ---------------------------------------------------------------------------
+
+TEST(RealtimeDeterminismTest, ReportIndependentOfAddFileOrder) {
+  // Roots in f1 and f2 reach a helper in f3 that allocates and sleeps; f3
+  // also holds a clock read that only tick_b reaches.
+  const std::string f1 = "void tick_a() EUCON_REALTIME { helper(); }\n";
+  const std::string f2 =
+      "void tick_b() EUCON_REALTIME { stamp(); helper(); }\n";
+  const std::string f3 =
+      "std::vector<double> buf;\n"
+      "void helper() {\n"
+      "  buf.push_back(1.0);\n"
+      "  std::this_thread::sleep_for(d);\n"
+      "}\n"
+      "void stamp() { t0 = std::chrono::steady_clock::now(); helper(); }\n";
+  const auto forward =
+      realtime_findings({{"f1.cpp", f1}, {"f2.cpp", f2}, {"f3.cpp", f3}});
+  const auto backward =
+      realtime_findings({{"f3.cpp", f3}, {"f2.cpp", f2}, {"f1.cpp", f1}});
+  ASSERT_EQ(forward.size(), 3u);
+  ASSERT_EQ(backward.size(), forward.size());
+  for (std::size_t i = 0; i < forward.size(); ++i) {
+    EXPECT_EQ(forward[i].file, backward[i].file);
+    EXPECT_EQ(forward[i].line, backward[i].line);
+    EXPECT_EQ(forward[i].col, backward[i].col);
+    EXPECT_EQ(forward[i].rule, backward[i].rule);
+    // Byte-identical messages: the chains must not depend on insertion
+    // order either.
+    EXPECT_EQ(forward[i].message, backward[i].message);
+  }
+  EXPECT_EQ(forward[0].rule, "allocation-in-realtime");
+  EXPECT_NE(forward[0].message.find("tick_a -> helper"), std::string::npos)
+      << forward[0].message;
+  EXPECT_EQ(forward[1].rule, "blocking-in-realtime");
+  EXPECT_NE(forward[1].message.find("tick_a -> helper"), std::string::npos)
+      << forward[1].message;
+  EXPECT_EQ(forward[2].rule, "nondeterminism-in-realtime");
+  EXPECT_NE(forward[2].message.find("tick_b -> stamp"), std::string::npos)
+      << forward[2].message;
 }
 
 // ---------------------------------------------------------------------------
