@@ -52,46 +52,35 @@ void ExecModelParams::validate() const {
   }
 }
 
-ExecutionTimeModel::ExecutionTimeModel(EtfProfile profile,
-                                       ExecModelParams params, Rng rng)
-    : profile_(std::move(profile)), params_(params), rng_(rng) {
-  params_.validate();
-}
+namespace {
 
-ExecutionTimeModel::ExecutionTimeModel(EtfProfile profile, double jitter,
-                                       Rng rng)
-    : ExecutionTimeModel(
-          std::move(profile),
-          [&] {
-            ExecModelParams p;
-            p.jitter = jitter;
-            return p;
-          }(),
-          rng) {}
-
-double ExecutionTimeModel::multiplier() {
-  switch (params_.distribution) {
+double multiplier(const ExecModelParams& params, Rng& rng) {
+  switch (params.distribution) {
     case ExecDistribution::kUniform:
-      return params_.jitter == 0.0  // eucon-lint: allow(float-equality)
+      return params.jitter == 0.0  // eucon-lint: allow(float-equality)
                  ? 1.0
-                 : rng_.uniform(1.0 - params_.jitter, 1.0 + params_.jitter);
+                 : rng.uniform(1.0 - params.jitter, 1.0 + params.jitter);
     case ExecDistribution::kExponential: {
       // Inverse transform; guard the open interval to avoid -log(0).
-      const double u = std::max(rng_.next_double(), 1e-12);
+      const double u = std::max(rng.next_double(), 1e-12);
       return -std::log(u);
     }
     case ExecDistribution::kBimodal: {
-      if (rng_.next_double() < params_.burst_prob) return params_.burst_factor;
-      return (1.0 - params_.burst_prob * params_.burst_factor) /
-             (1.0 - params_.burst_prob);
+      if (rng.next_double() < params.burst_prob) return params.burst_factor;
+      return (1.0 - params.burst_prob * params.burst_factor) /
+             (1.0 - params.burst_prob);
     }
   }
   return 1.0;
 }
 
-Ticks ExecutionTimeModel::sample(double estimated_exec, Ticks t) {
-  const double factor = profile_.factor_at(t);
-  const Ticks exec = units_to_ticks(estimated_exec * factor * multiplier());
+}  // namespace
+
+Ticks draw_exec_time(const EtfProfile& profile, const ExecModelParams& params,
+                     Rng& rng, double estimated_exec, Ticks t) {
+  const double factor = profile.factor_at(t);
+  const Ticks exec =
+      units_to_ticks(estimated_exec * factor * multiplier(params, rng));
   return std::max<Ticks>(exec, 1);
 }
 

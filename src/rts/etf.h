@@ -55,25 +55,13 @@ struct ExecModelParams {
   void validate() const;
 };
 
-// Samples actual execution times for jobs.
-class ExecutionTimeModel {
- public:
-  ExecutionTimeModel(EtfProfile profile, ExecModelParams params, Rng rng);
-  // Convenience: uniform distribution with the given jitter.
-  ExecutionTimeModel(EtfProfile profile, double jitter, Rng rng);
-
-  // Actual execution time (ticks, >= 1) for a job of a subtask whose
-  // estimate is `estimated_exec` time units, released at time `t`.
-  Ticks sample(double estimated_exec, Ticks t);
-
-  double factor_at(Ticks t) const { return profile_.factor_at(t); }
-
- private:
-  double multiplier();
-
-  EtfProfile profile_;
-  ExecModelParams params_;
-  Rng rng_;
-};
+// Actual execution time (ticks, >= 1) of one job of a subtask whose
+// estimate is `estimated_exec` time units, released at time `t`: the
+// estimate times profile.factor_at(t) times one multiplier drawn from
+// `rng` (none for zero-jitter uniform). `params` must have passed
+// validate(). The simulator keeps one Rng per subtask and calls this once
+// per released job, so each subtask's draws stay in release order.
+Ticks draw_exec_time(const EtfProfile& profile, const ExecModelParams& params,
+                     Rng& rng, double estimated_exec, Ticks t);
 
 }  // namespace eucon::rts

@@ -6,14 +6,16 @@
 // when the rate modulator changes task rates the simulator calls
 // reprioritize() to refresh every queued job and re-evaluate preemption.
 //
-// Completion events are scheduled optimistically and validated by a
-// generation counter: whenever a (new) job starts or resumes, a completion
-// event carrying the current generation is emitted; any previously emitted
-// event becomes stale.
+// The ready heap holds compact entries (key, task, subtask, enqueue seq,
+// job handle), so ordering and re-keying never read a Job; the running
+// job's entry and remaining demand live in the processor itself.
+//
+// Completion events are scheduled optimistically: whenever a (new) job
+// starts or resumes, a completion event is emitted and its queue seq
+// remembered; any previously emitted event becomes stale.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/ticks.h"
@@ -25,21 +27,28 @@ namespace eucon::rts {
 
 class Processor {
  public:
-  // `trace` may be null (tracing disabled).
-  Processor(int id, EventQueue* queue, TraceLog* trace = nullptr);
+  // `trace` may be null (tracing disabled). `queue` and `jobs` must
+  // outlive the processor.
+  Processor(int id, EventQueue* queue, JobPool* jobs, TraceLog* trace = nullptr);
 
-  // Adds a released job to the ready set, preempting if it outranks the
-  // running job. The caller retains ownership of the job.
-  void enqueue(Job* job, Ticks now);
+  // Adds a released job to the ready set under `priority_key` (smaller =
+  // higher priority), preempting if it outranks the running job. The job
+  // stays in the caller's pool.
+  void make_ready(JobHandle job, Ticks priority_key, Ticks now);
 
-  // Handles a completion event. Returns the completed job when the event is
-  // current and the running job has exhausted its demand, nullptr when the
-  // event is stale.
-  Job* on_completion_event(std::uint64_t gen, Ticks now);
+  // Handles the completion event that the queue stamped `seq`. Returns the
+  // completed job when the event is current and the running job has
+  // exhausted its demand, kNoJob when the event is stale.
+  JobHandle on_completion_event(std::uint64_t seq, Ticks now);
 
-  // Refreshes every queued job's priority key via `key` and re-evaluates
-  // preemption (called after a rate change).
-  void reprioritize(const std::function<Ticks(const Job&)>& key, Ticks now);
+  // Rate-monotonic re-keying after a rate change: every queued and running
+  // application job's key becomes period_ticks[task] (injected overhead,
+  // task < 0, keeps its key), then preemption is re-evaluated.
+  void reprioritize(const std::vector<Ticks>& period_ticks, Ticks now);
+
+  // Sizes the ready heap for `jobs` queued jobs, so it does not grow while
+  // the backlog stays below that.
+  void reserve(std::size_t jobs) { ready_.reserve(jobs); }
 
   // Advances busy-time accounting up to `now` (idempotent).
   void account_until(Ticks now);
@@ -49,30 +58,39 @@ class Processor {
   // the window edge first.
   Ticks take_window_busy();
 
-  bool busy() const { return running_ != nullptr; }
+  bool busy() const { return running_.job != kNoJob; }
   std::size_t ready_count() const { return ready_.size(); }
   Ticks total_busy() const { return total_busy_; }
   int id() const { return id_; }
 
  private:
+  struct ReadyEntry {
+    Ticks key = 0;  // RMS: the task's period; EDF: the absolute subdeadline
+    int task = 0;
+    int subtask = 0;
+    std::uint64_t enqueue_seq = 0;  // FIFO tie-break within equal keys
+    JobHandle job = kNoJob;
+  };
   struct ByPriority {
     // Min-heap: true when a ranks *after* b.
-    bool operator()(const Job* a, const Job* b) const;
+    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const;
   };
 
   void dispatch(Ticks now);
   void schedule_completion(Ticks now);
-  void trace_event(TraceKind kind, const Job& job, Ticks now);
+  void trace_event(TraceKind kind, const ReadyEntry& entry, Ticks now);
 
   int id_;
   EventQueue* queue_;
+  JobPool* jobs_;
   TraceLog* trace_;
-  std::vector<Job*> ready_;  // heap (ByPriority)
-  Job* running_ = nullptr;
+  std::vector<ReadyEntry> ready_;  // heap (ByPriority)
+  ReadyEntry running_;             // job == kNoJob when idle
+  Ticks running_remaining_ = 0;    // the running job's demand not yet executed
   Ticks last_account_ = 0;
   Ticks window_busy_ = 0;
   Ticks total_busy_ = 0;
-  std::uint64_t gen_ = 0;
+  std::uint64_t live_completion_seq_ = ~std::uint64_t{0};
   std::uint64_t next_enqueue_seq_ = 0;
 };
 

@@ -2,10 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace eucon::rts {
+
+namespace {
+constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+}  // namespace
+
+void Simulator::GuardFifo::push(const PendingRelease& r) {
+  if (size_ == ring_.size()) {
+    // Full: unroll into a buffer twice the size (at least 4). This is the
+    // only allocation, and only when the backlog exceeds every earlier one.
+    std::vector<PendingRelease> grown(  // eucon-lint: allow(allocation-in-realtime)
+        std::max<std::size_t>(4, 2 * size_));
+    for (std::size_t i = 0; i < size_; ++i)
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + size_) & (ring_.size() - 1)] = r;
+  ++size_;
+}
+
+Simulator::PendingRelease Simulator::GuardFifo::pop() {
+  EUCON_ASSERT(size_ > 0, "subtask release without pending entry");
+  const PendingRelease r = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --size_;
+  return r;
+}
 
 Simulator::Simulator(SystemSpec spec, SimOptions options)
     : spec_(std::move(spec)),
@@ -14,45 +42,69 @@ Simulator::Simulator(SystemSpec spec, SimOptions options)
   spec_.validate();
   EUCON_REQUIRE(options_.feedback_lane_delay >= 0.0,
                 "feedback-lane delay must be non-negative");
-
-  processors_.reserve(static_cast<std::size_t>(spec_.num_processors));
-  for (int p = 0; p < spec_.num_processors; ++p)
-    processors_.emplace_back(p, &queue_,
-                             options_.enable_trace ? &trace_ : nullptr);
+  exec_params_.distribution = options_.exec_distribution;
+  exec_params_.jitter = options_.jitter;
+  exec_params_.burst_prob = options_.burst_prob;
+  exec_params_.burst_factor = options_.burst_factor;
+  exec_params_.validate();
 
   const std::size_t m = spec_.num_tasks();
+  const std::size_t flat_count = spec_.num_subtasks();
+  EUCON_REQUIRE(flat_count <= std::numeric_limits<std::uint32_t>::max(),
+                "system too large for 32-bit event indices");
+
+  // Without overload a processor queues about one job per hosted subtask;
+  // twice that, plus room for injected overhead, covers transient
+  // backlogs, so the ready heaps stop growing after warm-up.
+  const std::vector<int> hosted = spec_.subtasks_per_processor();
+  processors_.reserve(static_cast<std::size_t>(spec_.num_processors));
+  for (int p = 0; p < spec_.num_processors; ++p) {
+    processors_.emplace_back(p, &queue_, &jobs_,
+                             options_.enable_trace ? &trace_ : nullptr);
+    processors_.back().reserve(
+        2 * static_cast<std::size_t>(hosted[static_cast<std::size_t>(p)]) + 2);
+  }
+
   rates_.resize(m);
   period_ticks_.resize(m);
-  release_gen_.assign(m, 0);
-  next_instance_.assign(m, 0);
+  live_release_seq_.assign(m, kNoSeq);
   task_enabled_.assign(m, true);
-  subtask_base_.resize(m);
+  task_base_.resize(m + 1);
+  subtasks_.reserve(flat_count);
+  exec_rng_.reserve(flat_count);
+  guard_.resize(flat_count);
 
-  Rng base(options_.seed);
-  std::size_t flat = 0;
+  const Rng base(options_.seed);
   for (std::size_t i = 0; i < m; ++i) {
     rates_[i] = spec_.tasks[i].initial_rate;
     period_ticks_[i] = rate_to_period_ticks(rates_[i]);
-    subtask_base_[i] = flat;
-    const auto& subtasks = spec_.tasks[i].subtasks;
+    task_base_[i] = subtasks_.size();
+    const auto& chain = spec_.tasks[i].subtasks;
     double exec_sum = 0.0;
-    for (const auto& sub : subtasks) exec_sum += sub.estimated_exec;
-    ExecModelParams exec_params;
-    exec_params.distribution = options_.exec_distribution;
-    exec_params.jitter = options_.jitter;
-    exec_params.burst_prob = options_.burst_prob;
-    exec_params.burst_factor = options_.burst_factor;
-    for (std::size_t j = 0; j < subtasks.size(); ++j, ++flat) {
-      exec_models_.push_back(std::make_unique<ExecutionTimeModel>(
-          options_.etf, exec_params, base.split(flat)));
-      deadline_fraction_.push_back(
+    for (const auto& sub : chain) exec_sum += sub.estimated_exec;
+    const auto ni = static_cast<double>(chain.size());
+    for (std::size_t j = 0; j < chain.size(); ++j) {
+      SubtaskSlot slot;
+      slot.task = static_cast<int>(i);
+      slot.processor = chain[j].processor;
+      slot.last = j + 1 == chain.size();
+      slot.estimated_exec = chain[j].estimated_exec;
+      const double fraction =
           options_.subdeadline_policy == SubdeadlinePolicy::kEvenByCount
-              ? 1.0 / static_cast<double>(subtasks.size())
-              : subtasks[j].estimated_exec / exec_sum);
+              ? 1.0 / ni
+              : chain[j].estimated_exec / exec_sum;
+      slot.deadline_scale = fraction * ni;
+      exec_rng_.push_back(base.split(subtasks_.size()));
+      subtasks_.push_back(slot);
     }
   }
-  last_release_.assign(flat, kNeverTicks);
-  pending_.resize(flat);
+  task_base_[m] = subtasks_.size();
+
+  // Every pending event is a task release (live or superseded), a guarded
+  // subtask release, a completion (live or stale) or a rate change; a few
+  // per task, subtask and processor cover the steady state, so the heap
+  // rarely grows after warm-up.
+  queue_.reserve(4 * (m + flat_count + processors_.size()) + 16);
 
   // Initial releases: every task starts at time 0 (the paper's runs start
   // with all tasks active at their initial rates).
@@ -60,18 +112,12 @@ Simulator::Simulator(SystemSpec spec, SimOptions options)
     Event e;
     e.time = 0;
     e.kind = EventKind::kTaskRelease;
-    e.task = static_cast<int>(i);
-    e.gen = 0;
-    queue_.push(e);
+    e.index = static_cast<std::uint32_t>(i);
+    live_release_seq_[i] = queue_.push(e);
   }
 }
 
 Simulator::~Simulator() = default;
-
-int Simulator::subtask_index(int task, int subtask) const {
-  return eucon::narrow<int>(subtask_base_[static_cast<std::size_t>(task)] +
-                            static_cast<std::size_t>(subtask));
-}
 
 void Simulator::run_until(Ticks t) {
   EUCON_REQUIRE(t >= now_, "run_until cannot move backwards");
@@ -101,56 +147,41 @@ void Simulator::handle(const Event& e) {
   }
 }
 
-Job* Simulator::make_job(int task, int subtask, std::uint64_t instance,
-                         Ticks instance_release, Ticks abs_deadline,
-                         Ticks release_time) {
-  const std::size_t flat = static_cast<std::size_t>(subtask_index(task, subtask));
-  const auto& sspec =
-      spec_.tasks[static_cast<std::size_t>(task)].subtasks[static_cast<std::size_t>(subtask)];
+void Simulator::release_job(std::size_t flat, Ticks instance_release,
+                            Ticks abs_deadline) {
+  const SubtaskSlot& slot = subtasks_[flat];
+  const auto t = static_cast<std::size_t>(slot.task);
+  const Ticks period = period_ticks_[t];
 
-  auto job = std::make_unique<Job>();
-  job->id = next_job_id_++;
-  job->task = task;
-  job->subtask = subtask;
-  job->instance = instance;
-  job->instance_release = instance_release;
-  job->abs_deadline = abs_deadline;
+  const JobHandle h = jobs_.acquire();
+  Job& job = jobs_[h];
+  job.id = next_job_id_++;
+  job.task = slot.task;
+  job.subtask = static_cast<int>(flat - task_base_[t]);
+  job.instance_release = instance_release;
+  job.abs_deadline = abs_deadline;
   // Subdeadline: this subtask's share of d_i = n_i / r_i, from the release
   // (even division makes this exactly one period, paper §7.1).
-  const auto ni = static_cast<double>(
-      spec_.tasks[static_cast<std::size_t>(task)].subtasks.size());
-  job->sub_deadline =
-      release_time + static_cast<Ticks>(std::llround(
-                         deadline_fraction_[flat] * ni *
-                         static_cast<double>(period_ticks(task))));
-  job->release_time = release_time;
-  job->exec_total = exec_models_[flat]->sample(sspec.estimated_exec, release_time);
-  job->remaining = job->exec_total;
-  job->priority_key = priority_key_for(*job);
-
-  Job* raw = job.get();
-  jobs_.emplace(raw->id, std::move(job));
-  processors_[static_cast<std::size_t>(sspec.processor)].enqueue(raw, now_);
-  return raw;
+  job.sub_deadline =
+      now_ + static_cast<Ticks>(std::llround(slot.deadline_scale *
+                                             static_cast<double>(period)));
+  job.remaining = draw_exec_time(options_.etf, exec_params_, exec_rng_[flat],
+                                 slot.estimated_exec, now_);
+  const Ticks key = options_.policy == SchedulingPolicy::kRateMonotonic
+                        ? period
+                        : job.sub_deadline;
+  processors_[static_cast<std::size_t>(slot.processor)].make_ready(h, key, now_);
 }
 
-Ticks Simulator::priority_key_for(const Job& job) const {
-  return options_.policy == SchedulingPolicy::kRateMonotonic
-             ? period_ticks(job.task)
-             : job.sub_deadline;
-}
-
-void Simulator::schedule_task_release(int task, Ticks not_before) {
-  const auto t = static_cast<std::size_t>(task);
-  const std::size_t flat0 = subtask_base_[t];
+void Simulator::schedule_task_release(std::size_t task, Ticks not_before) {
+  const Ticks last = subtasks_[task_base_[task]].last_release;
   Event rel;
-  rel.time = last_release_[flat0] == kNeverTicks
+  rel.time = last == kNeverTicks
                  ? not_before
-                 : std::max(not_before, last_release_[flat0] + period_ticks_[t]);
+                 : std::max(not_before, last + period_ticks_[task]);
   rel.kind = EventKind::kTaskRelease;
-  rel.task = task;
-  rel.gen = release_gen_[t];
-  queue_.push(rel);
+  rel.index = static_cast<std::uint32_t>(task);
+  live_release_seq_[task] = queue_.push(rel);
 }
 
 void Simulator::set_task_enabled(int task, bool enabled) {
@@ -159,20 +190,22 @@ void Simulator::set_task_enabled(int task, bool enabled) {
   const auto t = static_cast<std::size_t>(task);
   if (task_enabled_[t] == enabled) return;
   task_enabled_[t] = enabled;
-  ++release_gen_[t];  // cancels the pending release either way
-  if (enabled) schedule_task_release(task, now_);
+  live_release_seq_[t] = kNoSeq;  // cancels the pending release either way
+  if (enabled) schedule_task_release(t, now_);
 }
 
 void Simulator::migrate_subtask(int task, int subtask, int new_processor) {
   EUCON_REQUIRE(task >= 0 && static_cast<std::size_t>(task) < spec_.num_tasks(),
                 "unknown task");
-  auto& subtasks = spec_.tasks[static_cast<std::size_t>(task)].subtasks;
-  EUCON_REQUIRE(subtask >= 0 &&
-                    static_cast<std::size_t>(subtask) < subtasks.size(),
+  auto& chain = spec_.tasks[static_cast<std::size_t>(task)].subtasks;
+  EUCON_REQUIRE(subtask >= 0 && static_cast<std::size_t>(subtask) < chain.size(),
                 "unknown subtask");
   EUCON_REQUIRE(new_processor >= 0 && new_processor < spec_.num_processors,
                 "unknown processor");
-  subtasks[static_cast<std::size_t>(subtask)].processor = new_processor;
+  chain[static_cast<std::size_t>(subtask)].processor = new_processor;
+  subtasks_[task_base_[static_cast<std::size_t>(task)] +
+            static_cast<std::size_t>(subtask)]
+      .processor = new_processor;
 }
 
 bool Simulator::task_enabled(int task) const {
@@ -182,96 +215,87 @@ bool Simulator::task_enabled(int task) const {
 }
 
 void Simulator::on_task_release(const Event& e) {
-  const auto t = static_cast<std::size_t>(e.task);
-  if (e.gen != release_gen_[t]) return;  // superseded by a rate change
-  if (!task_enabled_[t]) return;         // suspended by admission control
+  const std::size_t t = e.index;
+  if (e.seq != live_release_seq_[t]) return;  // superseded by a rate change
+  if (!task_enabled_[t]) return;              // suspended by admission control
 
-  const std::uint64_t instance = next_instance_[t]++;
-  const auto ni = static_cast<Ticks>(spec_.tasks[t].subtasks.size());
-  const Ticks abs_deadline = now_ + ni * period_ticks(e.task);
+  const std::size_t flat0 = task_base_[t];
+  const auto ni = static_cast<Ticks>(task_base_[t + 1] - flat0);
+  const Ticks abs_deadline = now_ + ni * period_ticks_[t];
 
-  deadline_stats_.on_instance_released(e.task);
-  last_release_[subtask_base_[t]] = now_;
-  make_job(e.task, 0, instance, now_, abs_deadline, now_);
+  deadline_stats_.on_instance_released(static_cast<int>(t));
+  subtasks_[flat0].last_release = now_;
+  release_job(flat0, now_, abs_deadline);
 
   Event next;
-  next.time = now_ + period_ticks(e.task);
+  next.time = now_ + period_ticks_[t];
   next.kind = EventKind::kTaskRelease;
-  next.task = e.task;
-  next.gen = e.gen;
-  queue_.push(next);
+  next.index = e.index;
+  live_release_seq_[t] = queue_.push(next);
 }
 
 void Simulator::on_subtask_release(const Event& e) {
-  const auto flat = static_cast<std::size_t>(subtask_index(e.task, e.subtask));
-  EUCON_ASSERT(!pending_[flat].empty(), "subtask release without pending entry");
-  const PendingRelease pr = pending_[flat].front();
-  pending_[flat].pop_front();
-  make_job(e.task, e.subtask, pr.instance, pr.instance_release, pr.abs_deadline,
-           now_);
+  const std::size_t flat = e.index;
+  const PendingRelease pr = guard_[flat].pop();
+  release_job(flat, pr.instance_release, pr.abs_deadline);
 }
 
 void Simulator::inject_overhead(int processor, double exec_units) {
   EUCON_REQUIRE(processor >= 0 && processor < spec_.num_processors,
                 "unknown processor");
   EUCON_REQUIRE(exec_units > 0.0, "overhead must be positive");
-  auto job = std::make_unique<Job>();
-  job->id = next_job_id_++;
-  job->task = -1;  // marks overhead: no deadline stats, no chain
-  job->subtask = -1;
-  job->release_time = now_;
-  job->exec_total = std::max<Ticks>(units_to_ticks(exec_units), 1);
-  job->remaining = job->exec_total;
-  job->priority_key = 0;  // outranks every application job
-  Job* raw = job.get();
-  jobs_.emplace(raw->id, std::move(job));
-  processors_[static_cast<std::size_t>(processor)].enqueue(raw, now_);
+  const JobHandle h = jobs_.acquire();
+  Job& job = jobs_[h];
+  job.id = next_job_id_++;
+  job.task = -1;  // marks overhead: no deadline stats, no chain
+  job.subtask = -1;
+  job.remaining = std::max<Ticks>(units_to_ticks(exec_units), 1);
+  // Priority key 0 outranks every application job.
+  processors_[static_cast<std::size_t>(processor)].make_ready(h, 0, now_);
 }
 
 void Simulator::on_completion(const Event& e) {
-  auto& proc = processors_[static_cast<std::size_t>(e.processor)];
-  Job* job = proc.on_completion_event(e.gen, now_);
-  if (job == nullptr) return;  // stale event
-  if (job->task < 0) {         // injected overhead: account only
-    jobs_.erase(job->id);
+  const JobHandle h = processors_[e.index].on_completion_event(e.seq, now_);
+  if (h == kNoJob) return;  // stale event
+  const Job& job = jobs_[h];
+  if (job.task < 0) {  // injected overhead: account only
+    jobs_.release(h);
     return;
   }
 
-  deadline_stats_.on_subtask_completed(job->task, now_, job->sub_deadline);
+  deadline_stats_.on_subtask_completed(job.task, now_, job.sub_deadline);
 
-  const auto t = static_cast<std::size_t>(job->task);
-  const auto next_sub = static_cast<std::size_t>(job->subtask) + 1;
-  if (next_sub < spec_.tasks[t].subtasks.size()) {
+  const auto t = static_cast<std::size_t>(job.task);
+  const std::size_t flat = task_base_[t] + static_cast<std::size_t>(job.subtask);
+  if (!subtasks_[flat].last) {
     // Release guard (Sun & Liu): the successor is released when its
     // predecessor has completed AND at least one period has elapsed since
     // the successor's previous release — keeping the subtask periodic.
-    const auto flat =
-        static_cast<std::size_t>(subtask_index(job->task, static_cast<int>(next_sub)));
+    const std::size_t next = flat + 1;
+    SubtaskSlot& succ = subtasks_[next];
     const Ticks guarded =
-        last_release_[flat] == kNeverTicks
+        succ.last_release == kNeverTicks
             ? now_
-            : std::max(now_, last_release_[flat] + period_ticks(job->task));
+            : std::max(now_, succ.last_release + period_ticks_[t]);
     if (guarded > now_) ++release_guard_stalls_;
-    last_release_[flat] = guarded;
-    pending_[flat].push_back({job->instance, job->instance_release, job->abs_deadline});
+    succ.last_release = guarded;
+    guard_[next].push({job.instance_release, job.abs_deadline});
 
     Event rel;
     rel.time = guarded;
     rel.kind = EventKind::kSubtaskRelease;
-    rel.task = job->task;
-    rel.subtask = static_cast<int>(next_sub);
+    rel.index = static_cast<std::uint32_t>(next);
     queue_.push(rel);
   } else {
-    deadline_stats_.on_instance_completed(job->task, now_, job->abs_deadline,
-                                          job->instance_release);
+    deadline_stats_.on_instance_completed(job.task, now_, job.abs_deadline,
+                                          job.instance_release);
   }
-  jobs_.erase(job->id);
+  jobs_.release(h);
 }
 
 void Simulator::on_rate_change() {
   EUCON_ASSERT(!pending_rate_sets_.empty(), "rate change with no rates queued");
-  const std::vector<double> requested = std::move(pending_rate_sets_.front());
-  pending_rate_sets_.pop_front();
+  const std::vector<double>& requested = pending_rate_sets_.front();
   for (std::size_t i = 0; i < spec_.num_tasks(); ++i) {
     const auto& task = spec_.tasks[i];
     const double clamped =
@@ -280,21 +304,14 @@ void Simulator::on_rate_change() {
     period_ticks_[i] = rate_to_period_ticks(clamped);
     // Re-anchor the task's periodic release on the new period, respecting
     // the separation already established by the previous release.
-    ++release_gen_[i];
-    if (task_enabled_[i]) schedule_task_release(static_cast<int>(i), now_);
+    live_release_seq_[i] = kNoSeq;
+    if (task_enabled_[i]) schedule_task_release(i, now_);
   }
+  pending_rate_sets_.pop_front();
   // RMS priorities follow the new periods. EDF keys are absolute
   // subdeadlines of already-released jobs and do not change.
   if (options_.policy == SchedulingPolicy::kRateMonotonic) {
-    for (auto& proc : processors_) {
-      proc.reprioritize(
-          [this](const Job& j) {
-            // Injected overhead jobs (task < 0) keep their key: they have no
-            // period and already outrank every application job.
-            return j.task < 0 ? j.priority_key : period_ticks(j.task);
-          },
-          now_);
-    }
+    for (auto& proc : processors_) proc.reprioritize(period_ticks_, now_);
   }
 }
 
@@ -315,6 +332,8 @@ std::vector<double> Simulator::sample_utilizations() {
 void Simulator::set_rates(const std::vector<double>& rates) {
   EUCON_REQUIRE(rates.size() == spec_.num_tasks(),
                 "set_rates needs one rate per task");
+  for (const double r : rates)
+    EUCON_REQUIRE(!std::isnan(r), "set_rates: a requested rate is NaN");
   pending_rate_sets_.push_back(rates);
   Event e;
   e.time = now_ + units_to_ticks(options_.feedback_lane_delay);

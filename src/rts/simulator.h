@@ -10,10 +10,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/rng.h"
 #include "common/ticks.h"
 #include "rts/deadline_stats.h"
@@ -70,8 +69,10 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   // Processes all events strictly before `t` (ticks), then advances the
-  // clock to `t`. `t` must not be in the past.
-  void run_until(Ticks t);
+  // clock to `t`. `t` must not be in the past. Once every pool, heap and
+  // FIFO has reached its high-water mark, this allocates nothing (the
+  // opt-in trace log aside).
+  void run_until(Ticks t) EUCON_REALTIME;
   void run_until_units(double t_units) { run_until(units_to_ticks(t_units)); }
 
   // Utilization of each processor over the window since the previous call
@@ -82,7 +83,8 @@ class Simulator {
   // Requests new task rates. They are clamped to each task's
   // [rate_min, rate_max] and take effect after the feedback-lane delay:
   // priorities are refreshed and each task's next release is rescheduled
-  // against its release guard. Must contain one rate per task.
+  // against its release guard. Must contain one rate per task, none of
+  // them NaN (±inf clamps to the bounds).
   void set_rates(const std::vector<double>& rates);
 
   Ticks now() const { return now_; }
@@ -115,7 +117,7 @@ class Simulator {
 
   // Number of jobs released so far / still in flight (diagnostics).
   std::uint64_t jobs_released() const { return next_job_id_; }
-  std::size_t jobs_in_flight() const { return jobs_.size(); }
+  std::size_t jobs_in_flight() const { return jobs_.in_flight(); }
 
   // Times the release guard deferred a successor subtask past its
   // predecessor's completion (the guard's "not before one period since the
@@ -125,9 +127,35 @@ class Simulator {
 
  private:
   struct PendingRelease {  // release-guard queue entry for one subtask
-    std::uint64_t instance;
     Ticks instance_release;
     Ticks abs_deadline;
+  };
+
+  // One subtask's release-guard FIFO: a ring in a power-of-two buffer that
+  // doubles only when full, so its capacity never exceeds twice the
+  // longest queue the subtask has had, and a standing backlog reuses it.
+  class GuardFifo {
+   public:
+    void push(const PendingRelease& r);
+    PendingRelease pop();
+
+   private:
+    std::vector<PendingRelease> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  // What the hot path reads about one subtask, indexed by flat subtask
+  // index (task i's chain occupies [task_base_[i], task_base_[i + 1])).
+  struct SubtaskSlot {
+    int task = 0;
+    int processor = 0;          // follows migrate_subtask
+    bool last = false;          // final subtask of its chain
+    double estimated_exec = 0;  // c_ij
+    // This subtask's share of d_i times n_i: times the task's period it
+    // gives the subdeadline offset (even division: exactly one period).
+    double deadline_scale = 0;
+    Ticks last_release = kNeverTicks;  // release guard: previous release
   };
 
   void handle(const Event& e);
@@ -136,36 +164,33 @@ class Simulator {
   void on_completion(const Event& e);
   void on_rate_change();
 
-  Job* make_job(int task, int subtask, std::uint64_t instance,
-                Ticks instance_release, Ticks abs_deadline, Ticks release_time);
-  void complete_job(Job* job, Ticks now);
-  Ticks period_ticks(int task) const { return period_ticks_[static_cast<std::size_t>(task)]; }
-  int subtask_index(int task, int subtask) const;
-  Ticks priority_key_for(const Job& job) const;
-  void schedule_task_release(int task, Ticks not_before);
+  void release_job(std::size_t flat, Ticks instance_release, Ticks abs_deadline);
+  void schedule_task_release(std::size_t task, Ticks not_before);
 
   SystemSpec spec_;
   SimOptions options_;
+  ExecModelParams exec_params_;  // validated once, shared by every subtask
   Ticks sample_window_start_ = 0;
   Ticks now_ = 0;
 
   EventQueue queue_;
+  JobPool jobs_;
   std::vector<Processor> processors_;
-  std::vector<std::unique_ptr<ExecutionTimeModel>> exec_models_;  // per subtask
   DeadlineStats deadline_stats_;
 
   // Per-task state.
   std::vector<double> rates_;
   std::vector<Ticks> period_ticks_;
-  std::vector<std::uint64_t> release_gen_;
-  std::vector<std::uint64_t> next_instance_;
+  // Seq of the task's pending periodic release; any other release event
+  // popped for the task was superseded (rate change, suspension).
+  std::vector<std::uint64_t> live_release_seq_;
   std::vector<bool> task_enabled_;
+  std::vector<std::size_t> task_base_;  // m + 1 entries
 
-  // Per-subtask state (flattened; see subtask_index).
-  std::vector<Ticks> last_release_;          // kNeverTicks until first release
-  std::vector<std::deque<PendingRelease>> pending_;  // release-guard FIFO
-  std::vector<std::size_t> subtask_base_;    // task -> first flat index
-  std::vector<double> deadline_fraction_;    // share of d_i per subtask
+  // Per-subtask state (flat index).
+  std::vector<SubtaskSlot> subtasks_;
+  std::vector<Rng> exec_rng_;  // one execution-time stream per subtask
+  std::vector<GuardFifo> guard_;
 
   TraceLog trace_;
 
@@ -175,7 +200,6 @@ class Simulator {
   // front entry.
   std::deque<std::vector<double>> pending_rate_sets_;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::uint64_t next_job_id_ = 0;
   std::uint64_t release_guard_stalls_ = 0;
 };

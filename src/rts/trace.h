@@ -11,6 +11,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/ticks.h"
 
 namespace eucon::rts {
@@ -35,7 +36,10 @@ struct TraceRecord {
 // Append-only in-memory trace sink.
 class TraceLog {
  public:
-  void record(const TraceRecord& rec) { records_.push_back(rec); }
+  void record(const TraceRecord& rec)
+      EUCON_ALLOC_OK("opt-in trace log: grows with the run by design") {
+    records_.push_back(rec);
+  }
   const std::vector<TraceRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
   void clear() { records_.clear(); }

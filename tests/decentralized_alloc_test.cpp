@@ -10,7 +10,11 @@
 //   * run_experiment builds the plant model in CSR: a sharded run never
 //     allocates a block the size of the dense n×m F;
 //   * the simulator frees each requested rate vector once it is applied,
-//     so the live heap stays flat over a long run.
+//     so the live heap stays flat over a long run;
+//   * the simulator's event loop is allocation-free in steady state: once
+//     the job pool, event heap, ready heaps and release-guard FIFOs have
+//     reached their high-water marks, run_until touches the heap zero
+//     times.
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -227,6 +231,58 @@ TEST(SimulatorHeapTest, LiveHeapStaysFlatUnderRateRequests) {
   const std::size_t allowance = 100 * spec.num_tasks() * sizeof(double);
   EXPECT_LT(after, before + allowance)
       << "live heap grew by " << after - before << " bytes";
+}
+
+// MEDIUM and chain_cluster n = 64 at jitter 0.1, with new rates every
+// period: 200 warm-up periods, then 500 periods in which only run_until
+// is counted. Each released job used to cost a Job allocation and a hash
+// node; now it reuses a pooled slot.
+//
+// Every period's rate change re-anchors every task's release and re-keys
+// every ready heap; task 0's rate cycles as in the test above. The walk
+// does not keep lowering every task's rate: the release guard implements
+// Sun & Liu's first rule only (no reset at idle points), so each drop of
+// a task's rate strands guard entries that never drain, and the FIFOs and
+// the event heap then grow with that live backlog (chain_cluster n = 64
+// under an all-task rate cycle: +5 open instances per period).
+TEST(SimulatorHeapTest, RunUntilAllocatesNothingAfterWarmup) {
+  workloads::ChainClusterParams cluster;
+  cluster.num_processors = 64;
+  cluster.subtask_decay = 0.15;
+  const rts::SystemSpec specs[] = {workloads::medium(),
+                                   workloads::chain_cluster(cluster, 64)};
+  for (const rts::SystemSpec& spec : specs) {
+    rts::SimOptions opts;
+    opts.jitter = 0.1;
+    rts::Simulator sim(spec, opts);
+    std::vector<double> rates = spec.initial_rate_vector().data();
+    const Ticks ts = units_to_ticks(1000.0);
+    Ticks t = 0;
+    std::size_t counted = 0;
+    std::uint64_t jobs_counted = 0;
+    const auto period = [&](int k, bool count) {
+      t += ts;
+      if (count) {
+        const std::uint64_t jobs0 = sim.jobs_released();
+        const CountScope scope;
+        sim.run_until(t);
+        counted += CountScope::count();
+        jobs_counted += sim.jobs_released() - jobs0;
+      } else {
+        sim.run_until(t);
+      }
+      (void)sim.sample_utilizations();
+      rates[0] =
+          spec.tasks[0].rate_min * (1.5 + 0.5 * static_cast<double>(k % 3));
+      sim.set_rates(rates);
+    };
+    for (int k = 0; k < 200; ++k) period(k, false);
+    for (int k = 200; k < 700; ++k) period(k, true);
+    EXPECT_GT(jobs_counted, 10000u) << spec.num_processors << " processors";
+    EXPECT_EQ(counted, 0u) << spec.num_processors << " processors: "
+                           << counted << " allocations over " << jobs_counted
+                           << " jobs";
+  }
 }
 
 }  // namespace

@@ -36,26 +36,41 @@ TEST(EtfProfileTest, RejectsBadProfiles) {
                std::invalid_argument);
 }
 
+ExecModelParams uniform(double jitter) {
+  ExecModelParams p;
+  p.jitter = jitter;
+  return p;
+}
+
 TEST(ExecTimeModelTest, DeterministicWithoutJitter) {
-  ExecutionTimeModel m(EtfProfile::constant(0.5), 0.0, Rng(1));
-  EXPECT_EQ(m.sample(35.0, 0), units_to_ticks(17.5));
-  EXPECT_EQ(m.sample(35.0, 12345), units_to_ticks(17.5));
+  const EtfProfile profile = EtfProfile::constant(0.5);
+  Rng rng(1);
+  EXPECT_EQ(draw_exec_time(profile, uniform(0.0), rng, 35.0, 0),
+            units_to_ticks(17.5));
+  EXPECT_EQ(draw_exec_time(profile, uniform(0.0), rng, 35.0, 12345),
+            units_to_ticks(17.5));
 }
 
 TEST(ExecTimeModelTest, FollowsProfileSteps) {
-  ExecutionTimeModel m(
-      EtfProfile::steps({{0.0, 1.0}, {100.0, 2.0}}), 0.0, Rng(1));
-  EXPECT_EQ(m.sample(10.0, units_to_ticks(50.0)), units_to_ticks(10.0));
-  EXPECT_EQ(m.sample(10.0, units_to_ticks(150.0)), units_to_ticks(20.0));
+  const EtfProfile profile = EtfProfile::steps({{0.0, 1.0}, {100.0, 2.0}});
+  Rng rng(1);
+  EXPECT_EQ(draw_exec_time(profile, uniform(0.0), rng, 10.0,
+                           units_to_ticks(50.0)),
+            units_to_ticks(10.0));
+  EXPECT_EQ(draw_exec_time(profile, uniform(0.0), rng, 10.0,
+                           units_to_ticks(150.0)),
+            units_to_ticks(20.0));
 }
 
 TEST(ExecTimeModelTest, JitterStaysInBandAndHasUnitMean) {
   const double jitter = 0.2;
-  ExecutionTimeModel m(EtfProfile::constant(1.0), jitter, Rng(3));
+  const EtfProfile profile = EtfProfile::constant(1.0);
+  const ExecModelParams params = uniform(jitter);
+  Rng rng(3);
   RunningStats s;
   const double c = 40.0;
   for (int i = 0; i < 20000; ++i) {
-    const Ticks t = m.sample(c, 0);
+    const Ticks t = draw_exec_time(profile, params, rng, c, 0);
     const double units = ticks_to_units(t);
     EXPECT_GE(units, c * (1.0 - jitter) - 1e-6);
     EXPECT_LE(units, c * (1.0 + jitter) + 1e-6);
@@ -65,15 +80,15 @@ TEST(ExecTimeModelTest, JitterStaysInBandAndHasUnitMean) {
 }
 
 TEST(ExecTimeModelTest, NeverReturnsZero) {
-  ExecutionTimeModel m(EtfProfile::constant(1e-9), 0.0, Rng(1));
-  EXPECT_GE(m.sample(1e-9, 0), 1);
+  Rng rng(1);
+  EXPECT_GE(draw_exec_time(EtfProfile::constant(1e-9), uniform(0.0), rng,
+                           1e-9, 0),
+            1);
 }
 
 TEST(ExecTimeModelTest, RejectsBadJitter) {
-  EXPECT_THROW(ExecutionTimeModel(EtfProfile::constant(1.0), -0.1, Rng(1)),
-               std::invalid_argument);
-  EXPECT_THROW(ExecutionTimeModel(EtfProfile::constant(1.0), 1.0, Rng(1)),
-               std::invalid_argument);
+  EXPECT_THROW(uniform(-0.1).validate(), std::invalid_argument);
+  EXPECT_THROW(uniform(1.0).validate(), std::invalid_argument);
 }
 
 }  // namespace

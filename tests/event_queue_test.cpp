@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace eucon::rts {
 namespace {
 
@@ -26,17 +32,17 @@ TEST(EventQueueTest, OrdersByTime) {
 TEST(EventQueueTest, FifoAtEqualTimes) {
   EventQueue q;
   Event a = at(5);
-  a.task = 1;
+  a.index = 1;
   Event b = at(5);
-  b.task = 2;
+  b.index = 2;
   Event c = at(5);
-  c.task = 3;
+  c.index = 3;
   q.push(a);
   q.push(b);
   q.push(c);
-  EXPECT_EQ(q.pop().task, 1);
-  EXPECT_EQ(q.pop().task, 2);
-  EXPECT_EQ(q.pop().task, 3);
+  EXPECT_EQ(q.pop().index, 1u);
+  EXPECT_EQ(q.pop().index, 2u);
+  EXPECT_EQ(q.pop().index, 3u);
 }
 
 TEST(EventQueueTest, InterleavedPushPopPreservesCausality) {
@@ -47,13 +53,13 @@ TEST(EventQueueTest, InterleavedPushPopPreservesCausality) {
   // An event created while processing time 10 for the same instant must
   // come out after previously queued time-10 events.
   Event earlier = at(10);
-  earlier.task = 7;
+  earlier.index = 7;
   q.push(earlier);
   Event later = at(10);
-  later.task = 8;
+  later.index = 8;
   q.push(later);
-  EXPECT_EQ(q.pop().task, 7);
-  EXPECT_EQ(q.pop().task, 8);
+  EXPECT_EQ(q.pop().index, 7u);
+  EXPECT_EQ(q.pop().index, 8u);
 }
 
 TEST(EventQueueTest, SizeTracksContents) {
@@ -68,14 +74,43 @@ TEST(EventQueueTest, SizeTracksContents) {
 
 TEST(EventQueueTest, PayloadSurvives) {
   EventQueue q;
+  (void)q.push(at(1));
   Event e = at(42, EventKind::kCompletion);
-  e.processor = 3;
-  e.gen = 17;
-  q.push(e);
+  e.index = 3;
+  const std::uint64_t seq = q.push(e);
+  (void)q.pop();
   const Event out = q.pop();
   EXPECT_EQ(out.kind, EventKind::kCompletion);
-  EXPECT_EQ(out.processor, 3);
-  EXPECT_EQ(out.gen, 17u);
+  EXPECT_EQ(out.index, 3u);
+  // The seq push() returned is the one the event carries: owners of
+  // cancellable events compare it to tell the live event from stale ones.
+  EXPECT_EQ(out.seq, seq);
+  EXPECT_EQ(seq, 1u);
+}
+
+// The 4-ary heap pops in exactly (time, seq) order under any interleaving
+// of pushes and pops, including long runs of equal times.
+TEST(EventQueueTest, PopsInTimeSeqOrderUnderRandomInterleaving) {
+  EventQueue q;
+  Rng rng(42);
+  std::vector<std::pair<Ticks, std::uint64_t>> pending;  // reference model
+  Ticks now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (pending.empty() || rng.next_double() < 0.55) {
+      Event e = at(now + rng.uniform_int(0, 8));
+      e.index = static_cast<std::uint32_t>(step);
+      const std::uint64_t seq = q.push(e);
+      pending.emplace_back(e.time, seq);
+    } else {
+      const auto want = std::min_element(pending.begin(), pending.end());
+      const Event got = q.pop();
+      ASSERT_EQ(got.time, want->first);
+      ASSERT_EQ(got.seq, want->second);
+      now = got.time;
+      pending.erase(want);
+    }
+    ASSERT_EQ(q.size(), pending.size());
+  }
 }
 
 }  // namespace

@@ -18,24 +18,30 @@ ExecModelParams params_for(ExecDistribution dist) {
 TEST(ExecDistributionTest, AllShapesHaveUnitMean) {
   for (auto dist : {ExecDistribution::kUniform, ExecDistribution::kExponential,
                     ExecDistribution::kBimodal}) {
-    ExecutionTimeModel m(EtfProfile::constant(1.0), params_for(dist), Rng(3));
+    const EtfProfile profile = EtfProfile::constant(1.0);
+    const ExecModelParams params = params_for(dist);
+    Rng rng(3);
     RunningStats s;
     const double c = 50.0;
-    for (int i = 0; i < 60000; ++i) s.add(ticks_to_units(m.sample(c, 0)));
+    for (int i = 0; i < 60000; ++i)
+      s.add(ticks_to_units(draw_exec_time(profile, params, rng, c, 0)));
     EXPECT_NEAR(s.mean(), c, c * 0.02) << "distribution " << static_cast<int>(dist);
   }
 }
 
 TEST(ExecDistributionTest, ExponentialHasHeavierTail) {
-  ExecutionTimeModel uni(EtfProfile::constant(1.0),
-                         params_for(ExecDistribution::kUniform), Rng(5));
-  ExecutionTimeModel expo(EtfProfile::constant(1.0),
-                          params_for(ExecDistribution::kExponential), Rng(5));
+  const EtfProfile profile = EtfProfile::constant(1.0);
+  const ExecModelParams uni = params_for(ExecDistribution::kUniform);
+  const ExecModelParams expo = params_for(ExecDistribution::kExponential);
+  Rng uni_rng(5), expo_rng(5);
   const double c = 10.0;
   double uni_max = 0, expo_max = 0;
   for (int i = 0; i < 20000; ++i) {
-    uni_max = std::max(uni_max, ticks_to_units(uni.sample(c, 0)));
-    expo_max = std::max(expo_max, ticks_to_units(expo.sample(c, 0)));
+    uni_max = std::max(
+        uni_max, ticks_to_units(draw_exec_time(profile, uni, uni_rng, c, 0)));
+    expo_max = std::max(
+        expo_max,
+        ticks_to_units(draw_exec_time(profile, expo, expo_rng, c, 0)));
   }
   EXPECT_LE(uni_max, c * 1.2 + 1e-9);  // bounded band
   EXPECT_GT(expo_max, c * 3.0);        // unbounded tail shows up
@@ -45,13 +51,14 @@ TEST(ExecDistributionTest, BimodalHitsExactlyTwoValues) {
   ExecModelParams p = params_for(ExecDistribution::kBimodal);
   p.burst_prob = 0.2;
   p.burst_factor = 2.0;
-  ExecutionTimeModel m(EtfProfile::constant(1.0), p, Rng(7));
+  const EtfProfile profile = EtfProfile::constant(1.0);
+  Rng rng(7);
   const double c = 30.0;
   const double nominal = c * (1.0 - 0.2 * 2.0) / 0.8;  // 22.5
   int bursts = 0;
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
-    const double v = ticks_to_units(m.sample(c, 0));
+    const double v = ticks_to_units(draw_exec_time(profile, p, rng, c, 0));
     if (std::abs(v - 60.0) < 1e-6)
       ++bursts;
     else
@@ -64,11 +71,9 @@ TEST(ExecDistributionTest, BimodalParamsValidated) {
   ExecModelParams p = params_for(ExecDistribution::kBimodal);
   p.burst_prob = 0.5;
   p.burst_factor = 3.0;  // 1.5 >= 1: cannot keep unit mean
-  EXPECT_THROW(ExecutionTimeModel(EtfProfile::constant(1.0), p, Rng(1)),
-               std::invalid_argument);
+  EXPECT_THROW(p.validate(), std::invalid_argument);
   p.burst_factor = 0.5;  // must exceed 1
-  EXPECT_THROW(ExecutionTimeModel(EtfProfile::constant(1.0), p, Rng(1)),
-               std::invalid_argument);
+  EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
 TEST(ExecDistributionTest, EuconStillControlsBurstyWorkloads) {

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "rts/event.h"
@@ -15,37 +14,45 @@ constexpr Ticks U = kTicksPerUnit;  // one time unit
 
 struct Harness {
   EventQueue queue;
-  Processor proc{0, &queue};
-  std::vector<std::unique_ptr<Job>> jobs;
-  std::vector<std::pair<Ticks, Job*>> completions;
+  JobPool pool;
+  Processor proc{0, &queue, &pool};
+  // The harness never releases a job, so handles count up from 0 and
+  // index these vectors.
+  std::vector<JobHandle> jobs;
+  std::vector<Ticks> keys;    // priority key
+  std::vector<Ticks> demand;  // execution demand
+  std::vector<std::pair<Ticks, JobHandle>> completions;
   std::uint64_t next_id = 0;
 
-  Job* make_job(int task, Ticks exec, Ticks priority) {
-    auto j = std::make_unique<Job>();
-    j->id = next_id++;
-    j->task = task;
-    j->exec_total = exec;
-    j->remaining = exec;
-    j->priority_key = priority;
-    jobs.push_back(std::move(j));
-    return jobs.back().get();
+  JobHandle make_job(int task, Ticks exec, Ticks priority) {
+    const JobHandle h = pool.acquire();
+    Job& j = pool[h];
+    j.id = next_id++;
+    j.task = task;
+    j.remaining = exec;
+    jobs.push_back(h);
+    keys.push_back(priority);
+    demand.push_back(exec);
+    return h;
   }
+
+  void make_ready(JobHandle h, Ticks now) { proc.make_ready(h, keys[h], now); }
 
   // Processes all events up to and including time `until`.
   void run_until(Ticks until) {
     while (!queue.empty() && queue.top().time <= until) {
       const Event e = queue.pop();
       if (e.kind != EventKind::kCompletion) continue;
-      if (Job* done = proc.on_completion_event(e.gen, e.time))
-        completions.emplace_back(e.time, done);
+      const JobHandle done = proc.on_completion_event(e.seq, e.time);
+      if (done != kNoJob) completions.emplace_back(e.time, done);
     }
   }
 };
 
 TEST(ProcessorTest, SingleJobCompletesExactly) {
   Harness h;
-  Job* j = h.make_job(0, 10 * U, 100);
-  h.proc.enqueue(j, 0);
+  const JobHandle j = h.make_job(0, 10 * U, 100);
+  h.make_ready(j, 0);
   EXPECT_TRUE(h.proc.busy());
   h.run_until(100 * U);
   ASSERT_EQ(h.completions.size(), 1u);
@@ -56,10 +63,10 @@ TEST(ProcessorTest, SingleJobCompletesExactly) {
 
 TEST(ProcessorTest, FifoWithinEqualPriority) {
   Harness h;
-  Job* a = h.make_job(0, 5 * U, 100);
-  Job* b = h.make_job(0, 5 * U, 100);
-  h.proc.enqueue(a, 0);
-  h.proc.enqueue(b, 0);
+  const JobHandle a = h.make_job(0, 5 * U, 100);
+  const JobHandle b = h.make_job(0, 5 * U, 100);
+  h.make_ready(a, 0);
+  h.make_ready(b, 0);
   h.run_until(100 * U);
   ASSERT_EQ(h.completions.size(), 2u);
   EXPECT_EQ(h.completions[0].second, a);
@@ -70,12 +77,12 @@ TEST(ProcessorTest, FifoWithinEqualPriority) {
 
 TEST(ProcessorTest, HigherPriorityPreempts) {
   Harness h;
-  Job* low = h.make_job(0, 10 * U, 200);   // larger key = lower priority
-  Job* high = h.make_job(1, 3 * U, 100);
-  h.proc.enqueue(low, 0);
+  const JobHandle low = h.make_job(0, 10 * U, 200);  // larger key = lower priority
+  const JobHandle high = h.make_job(1, 3 * U, 100);
+  h.make_ready(low, 0);
   h.run_until(4 * U);  // low runs 4 units
   EXPECT_TRUE(h.completions.empty());
-  h.proc.enqueue(high, 4 * U);  // preempts
+  h.make_ready(high, 4 * U);  // preempts
   h.run_until(100 * U);
   ASSERT_EQ(h.completions.size(), 2u);
   // high: 4 + 3 = 7; low resumes with 6 left: 7 + 6 = 13.
@@ -87,10 +94,10 @@ TEST(ProcessorTest, HigherPriorityPreempts) {
 
 TEST(ProcessorTest, LowerPriorityArrivalDoesNotPreempt) {
   Harness h;
-  Job* high = h.make_job(0, 10 * U, 100);
-  Job* low = h.make_job(1, 2 * U, 200);
-  h.proc.enqueue(high, 0);
-  h.proc.enqueue(low, 1 * U);
+  const JobHandle high = h.make_job(0, 10 * U, 100);
+  const JobHandle low = h.make_job(1, 2 * U, 200);
+  h.make_ready(high, 0);
+  h.make_ready(low, 1 * U);
   h.run_until(100 * U);
   ASSERT_EQ(h.completions.size(), 2u);
   EXPECT_EQ(h.completions[0].second, high);
@@ -100,12 +107,12 @@ TEST(ProcessorTest, LowerPriorityArrivalDoesNotPreempt) {
 
 TEST(ProcessorTest, ArrivalAtExactCompletionInstantDoesNotDelayCompletion) {
   Harness h;
-  Job* a = h.make_job(0, 10 * U, 200);
-  Job* b = h.make_job(1, 5 * U, 100);  // higher priority, arrives at t=10
-  h.proc.enqueue(a, 0);
+  const JobHandle a = h.make_job(0, 10 * U, 200);
+  const JobHandle b = h.make_job(1, 5 * U, 100);  // higher priority, arrives at t=10
+  h.make_ready(a, 0);
   // Deliver the arrival before the completion event is processed, at the
   // same timestamp — the finished job must still complete at t = 10.
-  h.proc.enqueue(b, 10 * U);
+  h.make_ready(b, 10 * U);
   h.run_until(100 * U);
   ASSERT_EQ(h.completions.size(), 2u);
   EXPECT_EQ(h.completions[0].second, a);
@@ -116,10 +123,10 @@ TEST(ProcessorTest, ArrivalAtExactCompletionInstantDoesNotDelayCompletion) {
 
 TEST(ProcessorTest, StaleCompletionEventsIgnored) {
   Harness h;
-  Job* low = h.make_job(0, 10 * U, 200);
-  h.proc.enqueue(low, 0);  // schedules completion at t=10 (stale later)
-  Job* high = h.make_job(1, 3 * U, 100);
-  h.proc.enqueue(high, 2 * U);  // preempts; low's event becomes stale
+  const JobHandle low = h.make_job(0, 10 * U, 200);
+  h.make_ready(low, 0);  // schedules completion at t=10 (stale later)
+  const JobHandle high = h.make_job(1, 3 * U, 100);
+  h.make_ready(high, 2 * U);  // preempts; low's event becomes stale
   h.run_until(100 * U);
   // Exactly two completions despite three scheduled events.
   ASSERT_EQ(h.completions.size(), 2u);
@@ -131,8 +138,8 @@ TEST(ProcessorTest, StaleCompletionEventsIgnored) {
 
 TEST(ProcessorTest, BusyAccountingExact) {
   Harness h;
-  Job* j = h.make_job(0, 7 * U, 100);
-  h.proc.enqueue(j, 2 * U);
+  const JobHandle j = h.make_job(0, 7 * U, 100);
+  h.make_ready(j, 2 * U);
   h.run_until(100 * U);
   h.proc.account_until(20 * U);
   EXPECT_EQ(h.proc.take_window_busy(), 7 * U);
@@ -142,8 +149,8 @@ TEST(ProcessorTest, BusyAccountingExact) {
 
 TEST(ProcessorTest, WindowSplitsAcrossAccountingPoints) {
   Harness h;
-  Job* j = h.make_job(0, 10 * U, 100);
-  h.proc.enqueue(j, 0);
+  const JobHandle j = h.make_job(0, 10 * U, 100);
+  h.make_ready(j, 0);
   h.proc.account_until(4 * U);
   EXPECT_EQ(h.proc.take_window_busy(), 4 * U);
   h.run_until(100 * U);
@@ -153,14 +160,12 @@ TEST(ProcessorTest, WindowSplitsAcrossAccountingPoints) {
 
 TEST(ProcessorTest, ReprioritizeSwitchesRunningJob) {
   Harness h;
-  Job* a = h.make_job(0, 10 * U, 100);  // starts as higher priority
-  Job* b = h.make_job(1, 10 * U, 200);
-  h.proc.enqueue(a, 0);
-  h.proc.enqueue(b, 0);
+  const JobHandle a = h.make_job(0, 10 * U, 100);  // starts as higher priority
+  const JobHandle b = h.make_job(1, 10 * U, 200);
+  h.make_ready(a, 0);
+  h.make_ready(b, 0);
   // At t=2, a rate change flips the priorities: b's task becomes faster.
-  h.proc.reprioritize(
-      [&](const Job& j) { return j.task == 1 ? Ticks{50} : Ticks{300}; },
-      2 * U);
+  h.proc.reprioritize({Ticks{300}, Ticks{50}}, 2 * U);
   h.run_until(100 * U);
   ASSERT_EQ(h.completions.size(), 2u);
   // b runs 2..12; a resumes with 8 left: 12..20.
@@ -172,10 +177,10 @@ TEST(ProcessorTest, ReprioritizeSwitchesRunningJob) {
 
 TEST(ProcessorTest, TaskIdBreaksPriorityTies) {
   Harness h;
-  Job* t5 = h.make_job(5, 4 * U, 100);
-  Job* t2 = h.make_job(2, 4 * U, 100);
-  h.proc.enqueue(t5, 0);  // starts running (only job)
-  h.proc.enqueue(t2, 0);  // same priority, smaller task id — no preemption
+  const JobHandle t5 = h.make_job(5, 4 * U, 100);
+  const JobHandle t2 = h.make_job(2, 4 * U, 100);
+  h.make_ready(t5, 0);  // starts running (only job)
+  h.make_ready(t2, 0);  // same priority, smaller task id — no preemption
   h.run_until(100 * U);
   // t5 keeps the CPU (preemption only for strictly higher priority);
   // within the ready queue t2 would outrank another equal-priority job.
@@ -185,9 +190,9 @@ TEST(ProcessorTest, TaskIdBreaksPriorityTies) {
 
 TEST(ProcessorTest, RejectsDeadJob) {
   Harness h;
-  Job* j = h.make_job(0, 0, 100);
-  EXPECT_THROW(h.proc.enqueue(j, 0), std::invalid_argument);
-  EXPECT_THROW(h.proc.enqueue(nullptr, 0), std::invalid_argument);
+  const JobHandle j = h.make_job(0, 0, 100);
+  EXPECT_THROW(h.make_ready(j, 0), std::invalid_argument);
+  EXPECT_THROW(h.proc.make_ready(kNoJob, 100, 0), std::invalid_argument);
 }
 
 TEST(ProcessorTest, ManyJobsAllComplete) {
@@ -195,8 +200,8 @@ TEST(ProcessorTest, ManyJobsAllComplete) {
   for (int i = 0; i < 100; ++i) {
     const Ticks arrival = static_cast<Ticks>(i) * U / 2;
     h.run_until(arrival);  // deliver earlier completions first
-    h.proc.enqueue(h.make_job(i % 7, (1 + i % 5) * U, 100 + (i % 3) * 50),
-                   arrival);
+    h.make_ready(h.make_job(i % 7, (1 + i % 5) * U, 100 + (i % 3) * 50),
+              arrival);
   }
   h.run_until(10000 * U);
   EXPECT_EQ(h.completions.size(), 100u);
@@ -204,7 +209,7 @@ TEST(ProcessorTest, ManyJobsAllComplete) {
   EXPECT_EQ(h.proc.ready_count(), 0u);
   // Total busy time equals total demand.
   Ticks demand = 0;
-  for (const auto& j : h.jobs) demand += j->exec_total;
+  for (const JobHandle j : h.jobs) demand += h.demand[j];
   EXPECT_EQ(h.proc.total_busy(), demand);
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
+
+#include "eucon/workloads.h"
 
 namespace eucon::rts {
 namespace {
@@ -176,6 +180,31 @@ TEST(SimulatorTest, RunBackwardsThrows) {
   Simulator sim(one_task(10.0, 100.0), SimOptions{});
   sim.run_until_units(100.0);
   EXPECT_THROW(sim.run_until_units(50.0), std::invalid_argument);
+}
+
+// A NaN rate is refused before anything is queued (std::clamp would pass
+// it through, and the period llround(1/NaN) is undefined). ±inf still
+// clamps to the task's bounds.
+TEST(SimulatorTest, SetRatesRejectsNaN) {
+  const SystemSpec spec = workloads::medium();
+  Simulator sim(spec, SimOptions{});
+  sim.run_until_units(1000.0);
+  (void)sim.sample_utilizations();
+  const std::vector<double> before = sim.current_rates();
+  std::vector<double> rates = before;
+  rates[0] = std::nan("");
+  EXPECT_THROW(sim.set_rates(rates), std::invalid_argument);
+  EXPECT_NO_THROW(sim.run_until_units(3000.0));
+  EXPECT_EQ(sim.current_rates(), before);
+  const std::vector<double> u = sim.sample_utilizations();
+  for (double x : u) EXPECT_TRUE(std::isfinite(x));
+
+  rates[0] = std::numeric_limits<double>::infinity();
+  rates[1] = -std::numeric_limits<double>::infinity();
+  sim.set_rates(rates);
+  sim.run_until_units(4000.0);
+  EXPECT_EQ(sim.current_rates()[0], spec.tasks[0].rate_max);
+  EXPECT_EQ(sim.current_rates()[1], spec.tasks[1].rate_min);
 }
 
 TEST(SimulatorTest, SetRatesSizeMismatchThrows) {

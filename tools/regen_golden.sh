@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # regen_golden.sh — regenerate the golden JSONL files in tests/golden/.
 #
-# The golden regression suites byte-compare generated JSONL against the
+# The golden regression suites byte-compare generated output against the
 # files checked in under tests/golden/: per-period traces of pinned
-# configurations (tests/trace_golden_test.cpp) and the steering decision
-# log of the demo scenario (tests/steering_determinism_test.cpp). After an
+# configurations (tests/trace_golden_test.cpp), the steering decision
+# log of the demo scenario (tests/steering_determinism_test.cpp) and the
+# DES event-order digests of a seeded Simulator panel
+# (tests/des_digest_test.cpp). After an
 # *intentional* behavior change — controller tuning, simulator semantics,
 # trace schema, steering bound math — run this script, review
 # `git diff tests/golden/` like any other code change, and commit the new
@@ -25,17 +27,21 @@ fi
 
 cmake -B "$BUILD" -S "$ROOT" "${GENERATOR[@]}" >/dev/null
 cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 4)" \
-  --target trace_golden_test --target steering_determinism_test
+  --target trace_golden_test --target steering_determinism_test \
+  --target des_digest_test
 
 mkdir -p "$ROOT/tests/golden"
 EUCON_REGEN_GOLDEN=1 "$BUILD/tests/trace_golden_test" \
   --gtest_filter='Golden/*'
 EUCON_REGEN_GOLDEN=1 "$BUILD/tests/steering_determinism_test" \
   --gtest_filter='GoldenSteering.*'
+EUCON_REGEN_GOLDEN=1 "$BUILD/tests/des_digest_test" \
+  --gtest_filter='DesDigestTest.PanelMatchesGoldenDigests'
 
 # Prove the regenerated files round-trip before handing back to the user.
 "$BUILD/tests/trace_golden_test" --gtest_filter='Golden/*'
 "$BUILD/tests/steering_determinism_test" --gtest_filter='GoldenSteering.*'
+"$BUILD/tests/des_digest_test" --gtest_filter='DesDigestTest.*'
 
 echo
 echo "regen_golden.sh: tests/golden/ regenerated and verified."
