@@ -8,11 +8,12 @@
 // (p50/p90/p99) rather than a bare mean, so one slow outlier (page fault,
 // scheduler preemption) cannot masquerade as a regression — or hide one.
 //
-// The lsqlin sections double as the caching/warm-start acceptance check:
-// `lsqlin_oneshot` re-factorizes C and rebuilds the Hessian on every call
-// (the pre-optimization hot path, kept as `qp::lsqlin`), while
-// `lsqlin_solver_warm` drives the cached `qp::LsqlinSolver` with a
-// persistent warm-started working set on the same problem sequence.
+// The lsqlin sections double as the caching acceptance check:
+// `lsqlin_oneshot` factors C and derives the dual method's starting factor
+// on every call (`qp::lsqlin`), while `lsqlin_solver_warm` drives one
+// `qp::LsqlinSolver` that factored C once, on the same problem sequence.
+// The `_warm` suffix names the cached factorization; the solver carries no
+// working set from one solve to the next.
 //
 // Usage: bench_perf [--smoke] [--json PATH]
 //   --smoke      tiny iteration counts (the ctest gate)
@@ -203,8 +204,8 @@ struct LsqlinFixture {
   }
 };
 
-// Pre-optimization hot path: qp::lsqlin() refactorizes C and rebuilds
-// H = 2 C'C on every call.
+// One-shot path: qp::lsqlin() factors C by QR and inverts its R factor on
+// every call.
 SectionResult bench_lsqlin_oneshot(std::size_t warmup, std::size_t iters) {
   LsqlinFixture fx(16);
   qp::LsqlinProblem prob;
@@ -217,32 +218,28 @@ SectionResult bench_lsqlin_oneshot(std::size_t warmup, std::size_t iters) {
   });
 }
 
-// Post-optimization hot path: QR of C and the Hessian cached across calls,
-// working set warm-started from the previous solve.
+// Controller hot path: the QR of C and the dual starting factor cached
+// across calls.
 SectionResult bench_lsqlin_solver_warm(std::size_t warmup, std::size_t iters) {
   LsqlinFixture fx(16);
   qp::LsqlinSolver solver(fx.c);
-  qp::WarmStart warm;
   return time_section("lsqlin_solver_warm", warmup, iters, [&] {
-    const qp::LsqlinResult res =
-        solver.solve(fx.next_target(), fx.a, fx.b, nullptr, {}, &warm);
+    const qp::LsqlinResult res = solver.solve(fx.next_target(), fx.a, fx.b);
     sink(res.residual_norm);
   });
 }
 
-// The active-set QP solve itself, fast path forced off: targets large
-// enough that the unconstrained minimizer always violates the rate box, so
-// every call runs qp::solve_qp against the cached Hessian with a warm
-// working set. This is the section the persistent-workspace rewrite is
-// gated on (docs/performance.md).
+// The dual active-set iterations themselves, fast path forced off: targets
+// large enough that the unconstrained minimizer always violates the rate
+// box, so every call adds (and drops) rows starting from the cached
+// factor. This is the section the solver's per-iteration cost is gated on
+// (docs/performance.md).
 SectionResult bench_qp_solve_warm(std::size_t warmup, std::size_t iters) {
   LsqlinFixture fx(16, /*target_scale=*/3.0);
   qp::LsqlinSolver solver(fx.c);
-  qp::WarmStart warm;
   bool saw_fast_path = false;
   SectionResult r = time_section("qp_solve_warm", warmup, iters, [&] {
-    const qp::LsqlinResult res =
-        solver.solve(fx.next_target(), fx.a, fx.b, nullptr, {}, &warm);
+    const qp::LsqlinResult res = solver.solve(fx.next_target(), fx.a, fx.b);
     saw_fast_path = saw_fast_path || res.fast_path;
     sink(res.residual_norm);
   });
@@ -641,10 +638,10 @@ int main(int argc, char** argv) {
   const ObsReport obs_report =
       make_obs_report(sections[0], sections[1], obs_registry);
 
-  // The headline comparison for the caching/warm-start work.
+  // The headline comparison for the cached factorization.
   const double oneshot_p50 = sections[2].p50_us;
   const double cached_p50 = std::max(sections[3].p50_us, 1e-9);
-  std::printf("lsqlin cached/warm vs one-shot: %.2fx faster (p50)\n",
+  std::printf("lsqlin cached vs one-shot: %.2fx faster (p50)\n",
               oneshot_p50 / cached_p50);
 
   write_report(json_path, sections, batch, obs_report, smoke);

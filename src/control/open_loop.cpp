@@ -39,8 +39,7 @@ OpenLoopController::OpenLoopController(const PlantModel& model,
   prob.lb = model_.rate_min;
   prob.ub = model_.rate_max;
 
-  const Vector x0 = preferred_rates.clamped(model_.rate_min, model_.rate_max);
-  const auto res = qp::lsqlin(prob, &x0);
+  const auto res = qp::lsqlin(prob);
   EUCON_ASSERT(res.status == qp::Status::kOptimal,
                "open-loop design problem did not solve");
   rates_ = res.x.clamped(model_.rate_min, model_.rate_max);

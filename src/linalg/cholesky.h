@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "common/annotations.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -20,6 +21,13 @@ class Cholesky {
   Vector solve(const Vector& b) const;
 
   Matrix l() const;
+
+  // In-place variant for preallocated paths (the QP's regularized
+  // Hessian): overwrites the lower triangle of the square matrix `a` with
+  // L and leaves its strict upper triangle as it was. Returns false when
+  // `a` is not numerically positive definite; L is then unusable.
+  // Performs no heap allocation.
+  static bool factor_into(Matrix& a) EUCON_REALTIME;
 
  private:
   std::size_t n_;

@@ -1,5 +1,4 @@
-// LU factorization with partial pivoting, for square systems (including the
-// symmetric-indefinite KKT systems of the QP solver).
+// LU factorization with partial pivoting, for square systems.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +25,7 @@ class Lu {
 
   Matrix inverse() const;
 
-  // In-place variants for preallocated hot paths (the QP KKT solves).
+  // In-place variants for preallocated buffers.
   //
   // factor_into overwrites `a` with the packed L (unit diagonal) / U factors
   // and records the row permutation in the first a.rows() entries of `piv`

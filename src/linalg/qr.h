@@ -28,8 +28,8 @@ class Qr {
   void solve_least_squares_into(const Vector& b, Vector& y,
                                 Vector& x) const EUCON_REALTIME;
 
-  // The upper-triangular factor (n×n).
-  Matrix r() const;
+  // The upper-triangular factor (n×n, zero below the diagonal).
+  const Matrix& r() const { return r_; }
   // Applies Q^T to a vector of length m.
   Vector qt_times(const Vector& b) const;
   // In-place Q^T b into caller-owned `y` (resized to length m on first use).
@@ -37,9 +37,11 @@ class Qr {
 
  private:
   std::size_t m_, n_;
-  Matrix qr_;                    // R on/above diagonal; Householder tails below
-  std::vector<double> beta_;     // Householder scalars (0 for skipped columns)
-  std::vector<double> vk_head_;  // head element of each Householder vector
+  // Row k holds Householder vector k in columns k..m-1, so applying Q^T
+  // walks each vector contiguously (columns < k are unused).
+  Matrix v_;
+  Matrix r_;                  // R, row-major, zero below the diagonal
+  std::vector<double> beta_;  // Householder scalars (0 for skipped columns)
   bool full_rank_ = true;
 };
 

@@ -44,11 +44,11 @@ struct PeriodRecord {
   int enabled_tasks = 0;
   std::uint64_t lost_reports = 0;          // lane losses this period
   std::uint64_t release_guard_stalls = 0;  // deferred releases this period
-  int qp_iterations = -1;      // active-set iterations (-1: no QP controller)
+  int qp_iterations = -1;      // dual adds plus drops (-1: no QP controller)
   bool qp_fast_path = false;   // cached-QR unconstrained minimizer accepted
   bool qp_fallback = false;    // infeasible instance: util rows dropped
   std::string qp_status;       // "optimal" | "infeasible" | "max_iterations"
-  std::vector<std::size_t> qp_active_set;  // final working-set row indices
+  std::vector<std::size_t> qp_active_set;  // active rows, ascending
 
   // Fault-injection fields (eucon/faults.h). Emitted only when
   // faults_active is set, so unfaulted traces — including the pre-existing

@@ -71,11 +71,13 @@ TEST(QpEdgeTest, IterationLimitReportsStatus) {
   Vector f{-6.0, -6.0};
   Matrix a{{1.0, 0.0}, {0.0, 1.0}};
   Vector b{1.0, 1.0};
-  const qp::Result r = qp::solve_qp(h, f, a, b, nullptr, opts);
+  const qp::Result r = qp::solve_qp(h, f, a, b, opts);
   // One iteration cannot finish this (needs to add two constraints).
   EXPECT_EQ(r.status, qp::Status::kMaxIterations);
-  // The iterate is still feasible.
-  EXPECT_LE(qp::max_violation(a, b, r.x), 1e-9);
+  // A dual iterate is primal feasible only on its active rows.
+  ASSERT_FALSE(r.active.empty());
+  for (const std::size_t i : r.active)
+    EXPECT_LE(linalg::row_dot(a, i, r.x) - b[i], 1e-9) << "row " << i;
 }
 
 TEST(QpEdgeTest, SingularHessianHandledByRegularization) {
@@ -91,9 +93,12 @@ TEST(QpEdgeTest, SingularHessianHandledByRegularization) {
 }
 
 TEST(QpEdgeTest, EmptyConstraintSystem) {
-  const qp::Result r = qp::find_feasible_point(Matrix(0, 3), Vector(0));
+  // The minimum-norm point of an empty system (H = I, f = 0) is 0.
+  const qp::Result r =
+      qp::solve_qp(Matrix::identity(3), Vector(3), Matrix(0, 3), Vector(0));
   ASSERT_EQ(r.status, qp::Status::kOptimal);
   EXPECT_EQ(r.x.size(), 3u);
+  EXPECT_EQ(r.iterations, 0);
 }
 
 TEST(QpEdgeTest, TightEqualityLikeBox) {

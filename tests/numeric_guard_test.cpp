@@ -131,7 +131,7 @@ TEST(NumericGuardLibraryTest, LsqlinRejectsNaNTarget) {
   eucon::qp::LsqlinProblem prob;
   prob.c = Matrix{{1.0, 0.0}, {0.0, 1.0}};
   prob.d = Vector{1.0, kNaN};
-  EXPECT_THROW(eucon::qp::lsqlin(prob, nullptr, {}), NumericError);
+  EXPECT_THROW(eucon::qp::lsqlin(prob, {}), NumericError);
 }
 
 TEST(NumericGuardLibraryTest, VectorArithmeticCatchesInjectedInf) {

@@ -1,8 +1,8 @@
 // Proves the allocation-free contract of the workspace QP path: after a
 // warm-up solve has grown every buffer to its high-water mark, repeated
-// solves through solve_qp_into / LsqlinSolver::solve_into — phase-1,
-// KKT factorization, line search, warm-start write-back included — touch
-// the heap exactly zero times.
+// solves through solve_qp_into / LsqlinSolver::solve_into — Cholesky, adds,
+// partial and dual-only drops, the active-set report included — touch the
+// heap exactly zero times.
 //
 // The proof instrument is a replacement global operator new in this TU
 // (it governs the whole test binary) that bumps a counter while a test
@@ -58,9 +58,8 @@ struct CountScope {
   static std::size_t count() { return g_allocs.load(); }
 };
 
-// A dense box-constrained QP whose optimum pins several constraints, so
-// every steady-state solve runs the full active-set loop (KKT solves,
-// line searches, working-set churn) rather than terminating immediately.
+// A box-constrained QP whose optimum pins several constraints, so every
+// steady-state solve runs the dual loop rather than stopping at iteration 0.
 struct DenseQpFixture {
   static constexpr std::size_t kN = 6;
   static constexpr std::size_t kM = 12;
@@ -68,7 +67,6 @@ struct DenseQpFixture {
   Vector f = Vector(kN);
   Matrix a = Matrix(kM, kN);
   Vector b = Vector(kM);
-  Vector x0 = Vector(kN);
 
   DenseQpFixture() {
     for (std::size_t i = 0; i < kN; ++i) {
@@ -87,13 +85,12 @@ TEST(QpAllocTest, SolveQpIntoIsAllocationFreeAfterWarmup) {
   QpWorkspace ws;
   ws.reserve(fx.kN, fx.kM);
   Result out;
-  WarmStart warm;
-  // Warm-up: grows out.x, warm.working, and every workspace buffer to
-  // steady-state capacity. Two passes so the write-back path has already
-  // seen its largest working set.
-  solve_qp_into(fx.h, fx.f, fx.a, fx.b, &fx.x0, {}, &warm, ws, out);
+  // Warm-up: grows out.x, out.active and every workspace buffer to
+  // steady-state capacity. Two passes so the active-set report has already
+  // seen its largest set.
+  solve_qp_into(fx.h, fx.f, fx.a, fx.b, {}, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
-  solve_qp_into(fx.h, fx.f, fx.a, fx.b, &fx.x0, {}, &warm, ws, out);
+  solve_qp_into(fx.h, fx.f, fx.a, fx.b, {}, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
 
   int optimal = 0;
@@ -103,7 +100,7 @@ TEST(QpAllocTest, SolveQpIntoIsAllocationFreeAfterWarmup) {
       // Perturb the gradient in place so each solve does real work (the
       // optimum moves), without touching the heap from the test side.
       fx.f[0] = -4.0 - 0.01 * static_cast<double>(k % 7);
-      solve_qp_into(fx.h, fx.f, fx.a, fx.b, &fx.x0, {}, &warm, ws, out);
+      solve_qp_into(fx.h, fx.f, fx.a, fx.b, {}, ws, out);
       if (out.status == Status::kOptimal) ++optimal;
     }
   }
@@ -111,25 +108,47 @@ TEST(QpAllocTest, SolveQpIntoIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(CountScope::count(), 0u);
 }
 
-TEST(QpAllocTest, ColdStartPhase1PathIsAllocationFreeAfterWarmup) {
-  // No x0: every solve runs the phase-1 auxiliary QP inside the same
-  // workspace. That path must be as allocation-free as the main loop.
-  DenseQpFixture fx;
+TEST(QpAllocTest, PartialAndDualOnlyStepsAreAllocationFreeAfterWarmup) {
+  // min ||x - (3,3)||^2 over x1 <= 1, x2 <= 1 and 0.1 x1 + 0.2 x2 <= c:
+  // the solver adds both bounds, meets the third row at the vertex (1,1)
+  // with no primal direction left and drops x2 <= 1 on a dual-only step.
+  // For c >= -0.1 it then adds the third row (4 iterations); below that,
+  // x1 <= 1's multiplier reaches zero first, so a partial step drops it too
+  // before the add (5 iterations).
+  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
+  Vector f{-6.0, -6.0};
+  Matrix a{{1.0, 0.0}, {0.0, 1.0}, {0.1, 0.2}};
+  Vector b{1.0, 1.0, -0.3};
   QpWorkspace ws;
-  ws.reserve(fx.kN, fx.kM);
+  ws.reserve(2, 3);
   Result out;
-  solve_qp_into(fx.h, fx.f, fx.a, fx.b, nullptr, {}, nullptr, ws, out);
+  // Warm-up over both regimes, so out.active has held two rows.
+  solve_qp_into(h, f, a, b, {}, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
+  ASSERT_EQ(out.iterations, 5);  // add, add, dual-only drop, partial drop, add
+  b[2] = 0.28;
+  solve_qp_into(h, f, a, b, {}, ws, out);
+  ASSERT_EQ(out.status, Status::kOptimal);
+  ASSERT_EQ(out.iterations, 4);  // add, add, dual-only drop, add
+  ASSERT_EQ(out.active.size(), 2u);
 
   int optimal = 0;
+  int dual_only = 0;
+  int partial = 0;
   {
     const CountScope scope;
-    for (int k = 0; k < 20; ++k) {
-      solve_qp_into(fx.h, fx.f, fx.a, fx.b, nullptr, {}, nullptr, ws, out);
+    for (int k = 0; k < 50; ++k) {
+      b[2] = -0.3 + 0.01 * static_cast<double>(k);  // -0.3 .. 0.19
+      solve_qp_into(h, f, a, b, {}, ws, out);
       if (out.status == Status::kOptimal) ++optimal;
+      if (out.iterations == 4) ++dual_only;
+      if (out.iterations == 5) ++partial;
     }
   }
-  EXPECT_EQ(optimal, 20);
+  EXPECT_EQ(optimal, 50);
+  EXPECT_GT(dual_only, 0);
+  EXPECT_GT(partial, 0);
+  EXPECT_EQ(dual_only + partial, 50);
   EXPECT_EQ(CountScope::count(), 0u);
 }
 
@@ -152,11 +171,10 @@ TEST(QpAllocTest, LsqlinQpFallbackIsAllocationFreeAfterWarmup) {
   QpWorkspace ws;
   ws.reserve(c.cols(), a.rows());
   LsqlinResult out;
-  WarmStart warm;
-  solver.solve_into(d, a, b, nullptr, {}, &warm, ws, out);
+  solver.solve_into(d, a, b, {}, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
   ASSERT_FALSE(out.fast_path);
-  solver.solve_into(d, a, b, nullptr, {}, &warm, ws, out);
+  solver.solve_into(d, a, b, {}, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
 
   int optimal = 0;
@@ -165,7 +183,7 @@ TEST(QpAllocTest, LsqlinQpFallbackIsAllocationFreeAfterWarmup) {
     const CountScope scope;
     for (int k = 0; k < 50; ++k) {
       d[0] = 5.0 + 0.01 * static_cast<double>(k % 5);
-      solver.solve_into(d, a, b, nullptr, {}, &warm, ws, out);
+      solver.solve_into(d, a, b, {}, ws, out);
       if (out.status == Status::kOptimal) ++optimal;
       if (!out.fast_path) ++slow_path;
     }

@@ -1,11 +1,14 @@
 // Independent oracle for the active-set solver: for small problems,
 // enumerate EVERY subset of constraints as a candidate active set, solve
 // the corresponding equality-constrained problem in closed form, keep the
-// feasible KKT points, and take the best. The solver must match.
+// feasible KKT points, and take the best. The solver must match, and must
+// report kInfeasible exactly when no subset yields a feasible point.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
+#include <ostream>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/lu.h"
@@ -71,10 +74,28 @@ std::optional<Vector> brute_force(const Matrix& h, const Vector& f,
   return best;
 }
 
-class QpOracle : public ::testing::TestWithParam<int> {};
+// A seed and the lower end of the b_i draw: b_i >= 0.05 keeps x = 0
+// feasible; b_i ~ U(-1, 1.5) makes x = 0 infeasible on many instances and
+// some instances infeasible outright.
+struct OracleCase {
+  int seed;
+  double b_lo;
+};
+
+// CTest names each case by its printed parameter: print the seed alone.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.seed; }
+
+std::vector<OracleCase> seeds(int first, int last, double b_lo) {
+  std::vector<OracleCase> out;
+  for (int seed = first; seed <= last; ++seed) out.push_back({seed, b_lo});
+  return out;
+}
+
+class QpOracle : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(QpOracle, SolverMatchesExhaustiveEnumeration) {
-  const int seed = GetParam();
+  const int seed = GetParam().seed;
+  const double b_lo = GetParam().b_lo;
   Rng rng(static_cast<std::uint64_t>(seed) * 913 + 19);
   const std::size_t n = 2 + static_cast<std::size_t>(seed % 2);  // 2..3 vars
   const std::size_t m = 3 + static_cast<std::size_t>(seed % 4);  // 3..6 rows
@@ -92,14 +113,16 @@ TEST_P(QpOracle, SolverMatchesExhaustiveEnumeration) {
   Vector b(m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
-    // Right-hand side keeps x = 0 feasible: b >= 0.
-    b[i] = rng.uniform(0.05, 1.5);
+    b[i] = rng.uniform(b_lo, 1.5);
   }
 
   const Result res = solve_qp(h, f, a, b);
-  ASSERT_EQ(res.status, Status::kOptimal) << "seed " << seed;
   const auto oracle = brute_force(h, f, a, b);
-  ASSERT_TRUE(oracle.has_value()) << "seed " << seed;
+  if (!oracle.has_value()) {
+    EXPECT_EQ(res.status, Status::kInfeasible) << "seed " << seed;
+    return;
+  }
+  ASSERT_EQ(res.status, Status::kOptimal) << "seed " << seed;
 
   // Objectives must agree tightly (minimizers may differ only when the
   // optimum is non-unique, which SPD H prevents).
@@ -109,7 +132,10 @@ TEST_P(QpOracle, SolverMatchesExhaustiveEnumeration) {
     EXPECT_NEAR(res.x[j], (*oracle)[j], 1e-4) << "seed " << seed << " x" << j;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QpOracle, ::testing::Range(1, 41));
+INSTANTIATE_TEST_SUITE_P(Seeds, QpOracle,
+                         ::testing::ValuesIn(seeds(1, 40, 0.05)));
+INSTANTIATE_TEST_SUITE_P(InfeasibleStart, QpOracle,
+                         ::testing::ValuesIn(seeds(41, 280, -1.0)));
 
 }  // namespace
 }  // namespace eucon::qp

@@ -1,7 +1,6 @@
-// Degenerate-QP stress suite: the recovery branches of the active-set
-// solver (dependent working sets, zero-step blocking constraints, warm
-// starts that outlived their problem) and the iteration/warm-start
-// accounting contracts of the workspace rewrite.
+// Degenerate-QP stress suite: the recovery branches of the dual active-set
+// solver (dependent rows, dual-only steps, zero-room vertices) and the
+// workspace contracts.
 #include "qp/active_set.h"
 
 #include <gtest/gtest.h>
@@ -16,138 +15,64 @@ using linalg::Matrix;
 using linalg::Vector;
 
 TEST(QpStressTest, DependentWorkingSetRowsRecoveredByDrop) {
-  // min ||x - (2,2)||^2 s.t. x1 + x2 <= 2, stated twice. Seeding the warm
-  // start with both duplicate rows (both active at x0) makes the very first
-  // KKT system singular; the solver must drop the newest member and still
-  // reach the optimum at (1,1).
+  // min ||x - (2,2)||^2 s.t. x1 + x2 <= 2, stated twice. Once the first copy
+  // is active the second is satisfied (and dependent), so it must not enter
+  // the active set: the optimum (1,1) has exactly one active row.
   Matrix h{{2.0, 0.0}, {0.0, 2.0}};
   Vector f{-4.0, -4.0};
   Matrix a{{1.0, 1.0}, {1.0, 1.0}};
   Vector b{2.0, 2.0};
-  Vector x0{1.0, 1.0};
-  WarmStart warm;
-  warm.working = {0, 1};
-  const Result r = solve_qp(h, f, a, b, &x0, {}, &warm);
+  const Result r = solve_qp(h, f, a, b);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
   EXPECT_NEAR(r.x[1], 1.0, 1e-6);
-  // The written-back working set no longer carries the dependent duplicate.
-  EXPECT_EQ(warm.working.size(), 1u);
+  EXPECT_EQ(r.active.size(), 1u);
 }
 
 TEST(QpStressTest, ZeroStepBlockingConstraintActivatesWithoutMoving) {
-  // Start exactly on the boundary of x1 <= 1 with the unconstrained
-  // optimum beyond it: the first line search has zero room (alpha == 0),
-  // so the iterate must stand still while the blocking constraint joins
-  // the working set, then terminate there.
+  // min ||x - (3,3)||^2 s.t. x1 <= 1, x2 <= 1, 0.1 x1 + 0.2 x2 <= 0.28.
+  // The dual method adds rows 0 and 1 (most violated first) and reaches the
+  // vertex (1,1), where row 2 is still violated but its normal lies in the
+  // span of the two active ones (z = 0): the only step is dual. It drops
+  // row 1 while x stays put, then a primal step along x2 adds row 2.
   Matrix h{{2.0, 0.0}, {0.0, 2.0}};
-  Vector f{-4.0, 0.0};  // min ||x - (2, 0)||^2
-  Matrix a{{1.0, 0.0}};
-  Vector b{1.0};
-  Vector x0{1.0, 0.0};
-  const Result r = solve_qp(h, f, a, b, &x0);
+  Vector f{-6.0, -6.0};
+  Matrix a{{1.0, 0.0}, {0.0, 1.0}, {0.1, 0.2}};
+  Vector b{1.0, 1.0, 0.28};
+
+  // Stopped right after the dual-only drop: x is still the vertex, and only
+  // row 0 is active.
+  Options three;
+  three.max_iterations = 3;
+  const Result cut = solve_qp(h, f, a, b, three);
+  ASSERT_EQ(cut.status, Status::kMaxIterations);
+  EXPECT_EQ(cut.iterations, 3);
+  EXPECT_NEAR(cut.x[0], 1.0, 1e-12);
+  EXPECT_NEAR(cut.x[1], 1.0, 1e-12);
+  EXPECT_EQ(cut.active, (std::vector<std::size_t>{0}));
+
+  // Add, add, drop, add.
+  const Result r = solve_qp(h, f, a, b);
   ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_EQ(r.iterations, 4);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
-  EXPECT_NEAR(r.x[1], 0.0, 1e-8);
-  // One iteration to activate the constraint at zero step, one to verify
-  // optimality on it.
-  EXPECT_GE(r.iterations, 2);
+  EXPECT_NEAR(r.x[1], 0.9, 1e-8);
+  EXPECT_EQ(r.active, (std::vector<std::size_t>{0, 2}));
 }
 
 TEST(QpStressTest, ZeroStepCycleStillTerminates) {
-  // Two constraints meet at the starting vertex (1,1); the unconstrained
-  // optimum (3,3) is blocked by both with zero room. The solver activates
-  // them one per iteration without moving and must not cycle.
+  // Two constraints meet at the vertex (1,1); the unconstrained optimum
+  // (3,3) violates both equally. The solver activates them one per
+  // iteration and must not cycle.
   Matrix h{{2.0, 0.0}, {0.0, 2.0}};
   Vector f{-6.0, -6.0};
   Matrix a{{1.0, 0.0}, {0.0, 1.0}};
   Vector b{1.0, 1.0};
-  Vector x0{1.0, 1.0};
-  const Result r = solve_qp(h, f, a, b, &x0);
+  const Result r = solve_qp(h, f, a, b);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], 1.0, 1e-8);
   EXPECT_LE(r.iterations, 10);
-}
-
-TEST(QpStressTest, WarmStartSurvivesShrunkConstraintCount) {
-  // Carry a working set whose indices outlive the problem: the second QP
-  // has fewer rows, so stale indices >= m must be ignored (not crash, not
-  // pin phantom constraints) and the write-back must contain only valid
-  // indices.
-  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
-  Vector f{-6.0, -6.0};
-  Matrix a6{{1.0, 0.0},
-            {0.0, 1.0},
-            {1.0, 1.0},
-            {-1.0, 0.0},
-            {0.0, -1.0},
-            {1.0, -1.0}};
-  Vector b6{1.0, 1.0, 2.0, 0.0, 0.0, 2.0};
-  WarmStart warm;
-  const Result r6 = solve_qp(h, f, a6, b6, nullptr, {}, &warm);
-  ASSERT_EQ(r6.status, Status::kOptimal);
-  ASSERT_FALSE(warm.working.empty());
-  // Force stale indices into the carried set as well.
-  warm.working.push_back(4);
-  warm.working.push_back(5);
-
-  Matrix a2{{1.0, 0.0}, {0.0, 1.0}};
-  Vector b2{1.0, 1.0};
-  const Result r2 = solve_qp(h, f, a2, b2, nullptr, {}, &warm);
-  ASSERT_EQ(r2.status, Status::kOptimal);
-  EXPECT_NEAR(r2.x[0], 1.0, 1e-6);
-  EXPECT_NEAR(r2.x[1], 1.0, 1e-6);
-  for (const std::size_t i : warm.working) EXPECT_LT(i, 2u);
-}
-
-TEST(QpStressTest, WarmStartWrittenBackOnIterationLimit) {
-  // A one-iteration budget cannot finish this problem (two constraints to
-  // activate), but the warm start must still leave with the working set
-  // matching the returned iterate — not the stale pre-solve contents.
-  Options tight;
-  tight.max_iterations = 1;
-  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
-  Vector f{-6.0, -6.0};
-  Matrix a{{1.0, 0.0}, {0.0, 1.0}};
-  Vector b{1.0, 1.0};
-  Vector x0{0.0, 0.0};
-  WarmStart warm;
-  const Result r1 = solve_qp(h, f, a, b, &x0, tight, &warm);
-  ASSERT_EQ(r1.status, Status::kMaxIterations);
-  EXPECT_LE(max_violation(a, b, r1.x), 1e-9);
-  // The truncated solve activated a blocking constraint; the write-back
-  // must carry it (the old code left the warm start untouched here).
-  EXPECT_FALSE(warm.working.empty());
-
-  // Continuation: resuming from the truncated iterate with the carried
-  // working set finishes the solve.
-  const Result r2 = solve_qp(h, f, a, b, &r1.x, {}, &warm);
-  ASSERT_EQ(r2.status, Status::kOptimal);
-  EXPECT_NEAR(r2.x[0], 1.0, 1e-6);
-  EXPECT_NEAR(r2.x[1], 1.0, 1e-6);
-}
-
-TEST(QpStressTest, ColdSolveCountsPhaseOneIterations) {
-  // x = 0 violates the lower bounds, so a cold solve must run phase-1; its
-  // iterations are part of the result. Replaying the same pipeline by hand
-  // (find_feasible_point, then the seeded solve) must account for every
-  // iteration exactly.
-  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
-  Vector f(2);
-  Matrix a{{-1.0, 0.0}, {0.0, -1.0}, {1.0, 1.0}};
-  Vector b{-0.5, -0.5, 4.0};
-  const Result cold = solve_qp(h, f, a, b);
-  ASSERT_EQ(cold.status, Status::kOptimal);
-
-  const Result phase1 = find_feasible_point(a, b);
-  ASSERT_EQ(phase1.status, Status::kOptimal);
-  EXPECT_GT(phase1.iterations, 0);
-
-  const Result seeded = solve_qp(h, f, a, b, &phase1.x);
-  ASSERT_EQ(seeded.status, Status::kOptimal);
-  EXPECT_EQ(cold.iterations, phase1.iterations + seeded.iterations);
-  EXPECT_GT(cold.iterations, seeded.iterations);
 }
 
 TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
@@ -169,7 +94,7 @@ TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
       a(i, i) = 1.0;
       a(n + i, i) = -1.0;
     }
-    solve_qp_into(h, f, a, b, nullptr, {}, nullptr, ws, out);
+    solve_qp_into(h, f, a, b, {}, ws, out);
     const Result fresh = solve_qp(h, f, a, b);
     ASSERT_EQ(out.status, Status::kOptimal) << n;
     ASSERT_EQ(fresh.status, Status::kOptimal) << n;
@@ -188,7 +113,7 @@ TEST(QpStressTest, WorkspaceTooSmallIsRefused) {
   Matrix a{{1.0, 0.0}};
   Vector b{1.0};
   Result out;
-  EXPECT_THROW(solve_qp_into(h, f, a, b, nullptr, {}, nullptr, ws, out),
+  EXPECT_THROW(solve_qp_into(h, f, a, b, {}, ws, out),
                std::invalid_argument);
 }
 

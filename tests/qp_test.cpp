@@ -77,41 +77,27 @@ TEST(QpTest, InfeasibleDetected) {
   EXPECT_EQ(r.status, Status::kInfeasible);
 }
 
+// With H = I and f = 0 the solver returns the minimum-norm feasible point,
+// which is how a caller finds a point of {x : A x <= b}.
 TEST(QpTest, FindFeasiblePointSatisfiesConstraints) {
   Matrix a{{1.0, 1.0}, {-1.0, 0.0}, {0.0, -1.0}};  // x+y <= 4, x,y >= 0
   Vector b{4.0, 0.0, 0.0};
-  const Result r = find_feasible_point(a, b);
+  const Result r = solve_qp(Matrix::identity(2), Vector(2), a, b);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_LE(max_violation(a, b, r.x), 1e-6);
+  // x = 0 is feasible, so it is the minimum-norm point.
+  EXPECT_NEAR(r.x[0], 0.0, 1e-12);
+  EXPECT_NEAR(r.x[1], 0.0, 1e-12);
 }
 
 TEST(QpTest, FindFeasiblePointWithShiftedBox) {
-  // 2 <= x <= 3 (0 is infeasible; phase-1 must move).
+  // 2 <= x <= 3 (0 is infeasible; the solver must move).
   Matrix a{{1.0}, {-1.0}};
   Vector b{3.0, -2.0};
-  const Result r = find_feasible_point(a, b);
+  const Result r = solve_qp(Matrix::identity(1), Vector(1), a, b);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_LE(max_violation(a, b, r.x), 1e-6);
-}
-
-TEST(QpTest, RespectsProvidedStartingPoint) {
-  Matrix h{{2.0}};
-  Vector f{-4.0};
-  Matrix a{{1.0}};
-  Vector b{1.0};
-  Vector x0{0.0};
-  const Result r = solve_qp(h, f, a, b, &x0);
-  ASSERT_EQ(r.status, Status::kOptimal);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-7);
-}
-
-TEST(QpTest, RejectsInfeasibleStartingPoint) {
-  Matrix h{{2.0}};
-  Vector f{0.0};
-  Matrix a{{1.0}};
-  Vector b{1.0};
-  Vector x0{5.0};
-  EXPECT_THROW(solve_qp(h, f, a, b, &x0), std::invalid_argument);
+  EXPECT_NEAR(r.x[0], 2.0, 1e-9);
 }
 
 TEST(QpTest, RedundantConstraintsHandled) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
 #include "linalg/lu.h"
 
@@ -93,6 +97,108 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, QrRandomLs,
     ::testing::Values(std::pair{3, 3}, std::pair{5, 2}, std::pair{10, 7},
                       std::pair{20, 5}, std::pair{40, 12}, std::pair{64, 32}));
+
+// The factorization, Q^T b and back substitution as the column-strided
+// layout computed them (R on and above the diagonal of one m×n matrix,
+// Householder tails below it, the heads apart).
+struct StridedQr {
+  std::size_t m, n;
+  Matrix qr;
+  std::vector<double> beta, head;
+  bool full_rank = true;
+
+  explicit StridedQr(const Matrix& a)
+      : m(a.rows()), n(a.cols()), qr(a), beta(n, 0.0), head(n, 0.0) {
+    double scale = qr.frobenius_norm();
+    if (scale == 0.0) scale = 1.0;  // eucon-lint: allow(float-equality)
+    for (std::size_t k = 0; k < n; ++k) {
+      double norm = 0.0;
+      for (std::size_t i = k; i < m; ++i) norm += qr(i, k) * qr(i, k);
+      norm = std::sqrt(norm);
+      if (norm <= 1e-12 * scale) {
+        full_rank = false;
+        continue;
+      }
+      const double alpha = qr(k, k) >= 0 ? -norm : norm;
+      const double vkk = qr(k, k) - alpha;
+      qr(k, k) = alpha;
+      double vtv = vkk * vkk;
+      for (std::size_t i = k + 1; i < m; ++i) vtv += qr(i, k) * qr(i, k);
+      if (vtv == 0.0) continue;  // eucon-lint: allow(float-equality)
+      beta[k] = 2.0 / vtv;
+      head[k] = vkk;
+      for (std::size_t j = k + 1; j < n; ++j) {
+        double dot = vkk * qr(k, j);
+        for (std::size_t i = k + 1; i < m; ++i) dot += qr(i, k) * qr(i, j);
+        const double s = beta[k] * dot;
+        qr(k, j) -= s * vkk;
+        for (std::size_t i = k + 1; i < m; ++i) qr(i, j) -= s * qr(i, k);
+      }
+    }
+  }
+
+  Vector qt(const Vector& b) const {
+    Vector y = b;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (beta[k] == 0.0) continue;  // eucon-lint: allow(float-equality)
+      double dot = head[k] * y[k];
+      for (std::size_t i = k + 1; i < m; ++i) dot += qr(i, k) * y[i];
+      const double s = beta[k] * dot;
+      y[k] -= s * head[k];
+      for (std::size_t i = k + 1; i < m; ++i) y[i] -= s * qr(i, k);
+    }
+    return y;
+  }
+
+  Vector solve(const Vector& b) const {
+    const Vector y = qt(b);
+    Vector x(n);
+    for (std::size_t ii = n; ii-- > 0;) {
+      double acc = y[ii];
+      for (std::size_t j = ii + 1; j < n; ++j) acc -= qr(ii, j) * x[j];
+      x[ii] = acc / qr(ii, ii);
+    }
+    return x;
+  }
+};
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+TEST(QrTest, ContiguousFactorMatchesStridedReferenceBitForBit) {
+  Rng rng(4242);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    for (std::size_t m = n; m <= 3 * n; ++m) {
+      Matrix a = random_tall(m, n, rng);
+      // Every third shape repeats a column, so a reflection is skipped.
+      const bool deficient = n > 1 && (m + n) % 3 == 0;
+      if (deficient)
+        for (std::size_t i = 0; i < m; ++i) a(i, n - 1) = a(i, 0);
+      Vector b(m);
+      for (std::size_t i = 0; i < m; ++i) b[i] = rng.uniform(-3.0, 3.0);
+
+      const Qr qr(a);
+      const StridedQr ref(a);
+      ASSERT_EQ(qr.full_rank(), ref.full_rank) << m << "x" << n;
+      Vector y;
+      qr.qt_times_into(b, y);
+      ASSERT_TRUE(same_bits(y, ref.qt(b))) << m << "x" << n;
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i; j < n; ++j)
+          ASSERT_EQ(std::memcmp(qr.r().row_ptr(i) + j, ref.qr.row_ptr(i) + j,
+                                sizeof(double)),
+                    0)
+              << m << "x" << n << " R(" << i << "," << j << ")";
+      if (deficient) continue;
+      Vector x;
+      qr.solve_least_squares_into(b, y, x);
+      ASSERT_TRUE(same_bits(x, ref.solve(b))) << m << "x" << n;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace eucon::linalg

@@ -4,9 +4,11 @@
 # The golden regression suites byte-compare generated output against the
 # files checked in under tests/golden/: per-period traces of pinned
 # configurations (tests/trace_golden_test.cpp), the steering decision
-# log of the demo scenario (tests/steering_determinism_test.cpp) and the
+# log of the demo scenario (tests/steering_determinism_test.cpp), the
 # DES event-order digests of a seeded Simulator panel
-# (tests/des_digest_test.cpp). After an
+# (tests/des_digest_test.cpp) and the QP reference panel
+# (tests/qp_reference_test.cpp; regenerating it replaces the earlier
+# solver's answers with the current solver's own). After an
 # *intentional* behavior change — controller tuning, simulator semantics,
 # trace schema, steering bound math — run this script, review
 # `git diff tests/golden/` like any other code change, and commit the new
@@ -28,7 +30,7 @@ fi
 cmake -B "$BUILD" -S "$ROOT" "${GENERATOR[@]}" >/dev/null
 cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 4)" \
   --target trace_golden_test --target steering_determinism_test \
-  --target des_digest_test
+  --target des_digest_test --target qp_reference_test
 
 mkdir -p "$ROOT/tests/golden"
 EUCON_REGEN_GOLDEN=1 "$BUILD/tests/trace_golden_test" \
@@ -37,11 +39,14 @@ EUCON_REGEN_GOLDEN=1 "$BUILD/tests/steering_determinism_test" \
   --gtest_filter='GoldenSteering.*'
 EUCON_REGEN_GOLDEN=1 "$BUILD/tests/des_digest_test" \
   --gtest_filter='DesDigestTest.PanelMatchesGoldenDigests'
+EUCON_REGEN_GOLDEN=1 "$BUILD/tests/qp_reference_test" \
+  --gtest_filter='QpReferenceTest.*'
 
 # Prove the regenerated files round-trip before handing back to the user.
 "$BUILD/tests/trace_golden_test" --gtest_filter='Golden/*'
 "$BUILD/tests/steering_determinism_test" --gtest_filter='GoldenSteering.*'
 "$BUILD/tests/des_digest_test" --gtest_filter='DesDigestTest.*'
+"$BUILD/tests/qp_reference_test" --gtest_filter='QpReferenceTest.*'
 
 echo
 echo "regen_golden.sh: tests/golden/ regenerated and verified."
