@@ -88,16 +88,18 @@ int main() {
     checks.expect(all_acceptable, label + ": every processor acceptable");
     checks.expect(results[i].deadlines.e2e_miss_ratio() < 1e-12,
                   label + ": no end-to-end deadline misses");
-    checks.expect(results[i].stale_drops == 1 && results[i].stale_restores == 1,
+    const obs::RunSummary& totals = results[i].summary;
+    checks.expect(totals.stale_drops == 1 && totals.stale_restores == 1,
                   label + ": stale lane dropped once and restored once");
   }
 
   // Identical fault accounting across policies: the injected faults are a
   // function of (plan, seed), not of how the loop reacts to them.
   for (std::size_t i = 1; i < 4; ++i)
-    checks.expect(results[i].forced_losses == results[0].forced_losses &&
-                      results[i].blackout_periods ==
-                          results[0].blackout_periods,
+    checks.expect(results[i].summary.forced_losses ==
+                          results[0].summary.forced_losses &&
+                      results[i].summary.blackout_periods ==
+                          results[0].summary.blackout_periods,
                   std::string(runs[i].label) +
                       ": same injected faults as the undegraded run");
 

@@ -95,6 +95,6 @@ int main() {
   std::printf("\ndeadline miss ratio (end-to-end): %.4f\n",
               res.deadlines.e2e_miss_ratio());
   std::printf("controller infeasible-fallbacks: %llu\n",
-              static_cast<unsigned long long>(res.controller_fallbacks));
+              static_cast<unsigned long long>(res.summary.controller_fallbacks));
   return 0;
 }

@@ -25,6 +25,7 @@ class AdaptiveMpcController final : public Controller {
 
   const linalg::Vector& update(const linalg::Vector& u) override;
   std::string name() const override { return "EUCON-A"; }
+  const Diagnostics* diagnostics() const override { return mpc_.diagnostics(); }
 
   const linalg::Vector& gain_estimate() const { return estimator_.gains(); }
   const MpcController& inner() const { return mpc_; }

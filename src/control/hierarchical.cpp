@@ -150,6 +150,10 @@ const Vector& HierarchicalMpcController::update(const Vector& u) {
   std::vector<Shard>& shards = partitions_[period_ % partitions_.size()];
   ++period_;
   u_pred_ = u;
+  diag_.iterations = 0;
+  diag_.fast_path = true;
+  diag_.fallback = false;
+  diag_.status = qp::Status::kOptimal;
   for (Shard& shard : shards) {
     if (shard.local == nullptr) continue;
     for (std::size_t qi = 0; qi < shard.rows.size(); ++qi)
@@ -160,6 +164,11 @@ const Vector& HierarchicalMpcController::update(const Vector& u) {
       shard.r_scratch[ji] = rates_[shard.owned[ji]];
     shard.local->sync_rates(shard.r_scratch);
     const Vector& r_local = shard.local->update(shard.u_scratch);
+    const Diagnostics& local = *shard.local->diagnostics();
+    diag_.iterations += local.iterations;
+    diag_.fast_path = diag_.fast_path && local.fast_path;
+    diag_.fallback = diag_.fallback || local.fallback;
+    if (diag_.status == qp::Status::kOptimal) diag_.status = local.status;
     for (std::size_t ji = 0; ji < shard.owned.size(); ++ji) {
       const std::size_t j = shard.owned[ji];
       const double dr = r_local[ji] - rates_[j];
@@ -169,6 +178,7 @@ const Vector& HierarchicalMpcController::update(const Vector& u) {
       rates_[j] = r_local[ji];
     }
   }
+  diag_.count_update();
   return rates_;
 }
 

@@ -100,6 +100,11 @@ class HierarchicalMpcController final : public Controller {
   std::string name() const override {
     return sweep_ == Sweep::kJacobi ? "DEUCON" : "HIER";
   }
+  // The sweep's record, folded from its solving shards: iterations summed;
+  // fast path when every shard's held; fallback when any shard's did; the
+  // first non-optimal status in shard order; no active rows. One shard
+  // reports what the central MPC does, except for the active rows.
+  const Diagnostics* diagnostics() const override { return &diag_; }
 
   // Introspection for tests and benches. Shard-level accessors describe
   // the BASE partition, where shard s holds processors
@@ -139,6 +144,7 @@ class HierarchicalMpcController final : public Controller {
   std::size_t period_ = 0;      // parity selects the sweep partition
   qp::QpWorkspace shared_ws_;   // one workspace for every local QP
   linalg::Vector rates_;
+  Diagnostics diag_;
 };
 
 }  // namespace eucon::control

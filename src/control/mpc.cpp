@@ -185,13 +185,6 @@ void MpcController::rebuild_constraint_templates() {
   result_.active.reserve(cols);
 }
 
-void MpcController::set_shared_workspace(qp::QpWorkspace* ws) {
-  shared_ws_ = ws;
-  // Growth-only: reserving for this controller's larger template leaves any
-  // capacity a bigger sibling already established untouched.
-  active_workspace().reserve(a_full_.cols(), a_full_.rows());
-}
-
 void MpcController::set_enabled_tasks(const std::vector<bool>& enabled) {
   EUCON_REQUIRE(enabled.size() == model_.num_tasks(),
                 "enabled-task mask size mismatch");
@@ -286,8 +279,8 @@ void MpcController::fill_constraint_rhs(const Vector& u, bool with_util_rows,
 
 void MpcController::solve(const Vector& u, bool with_util_rows) {
   fill_constraint_rhs(u, with_util_rows, b_scratch_);
-  solver_.solve_into(d_, with_util_rows ? a_full_ : a_rates_, b_scratch_,
-                     params_.solver, active_workspace(), result_);
+  solver_.solve_into(d_, with_util_rows ? a_full_ : a_rates_, b_scratch_, {},
+                     active_workspace(), result_);
 }
 
 const Vector& MpcController::update(const Vector& u) {
@@ -295,7 +288,6 @@ const Vector& MpcController::update(const Vector& u) {
                 "utilization vector size mismatch");
   EUCON_CHECK_FINITE_VEC("MpcController::update input u", u);
   OBS_TIMED(metrics_, "mpc.update");
-  ++update_count_;
   const std::size_t m = active_model_.num_tasks();
 
   const bool want_util_rows =
@@ -303,32 +295,27 @@ const Vector& MpcController::update(const Vector& u) {
 
   assemble_d(u);
 
-  int iterations = 0;
-  bool fell_back = false;
   {
     OBS_TIMED(metrics_, "qp.solve");
     solve(u, want_util_rows);
-    iterations = result_.iterations;
-    if (want_util_rows && result_.status != qp::Status::kOptimal) {
+    diag_.iterations = result_.iterations;
+    diag_.fallback = want_util_rows && result_.status != qp::Status::kOptimal;
+    if (diag_.fallback) {
       // No rate vector within the box meets u <= B (paper §6.2: rate
       // adaptation alone cannot reach the set points), or the solve ran
       // out of iterations. A dual iterate is not primal feasible, so it is
       // never applied: drop the utilization rows and let the tracking term
       // minimize the overshoot instead (best effort).
-      fell_back = true;
-      ++fallback_count_;
       solve(u, false);
-      iterations += result_.iterations;
+      diag_.iterations += result_.iterations;
     }
   }
-  last_status_ = result_.status;
-  last_iterations_ = iterations;
   // A fallback period ran a hard solve that added rows before it failed, so
   // its iteration 0 was not feasible even when the re-solve's was.
-  last_fast_path_ = result_.fast_path && !fell_back;
-  last_used_fallback_ = fell_back;
-  qp_iterations_total_ += static_cast<std::uint64_t>(iterations);
-  if (last_fast_path_) ++fast_path_hits_;
+  diag_.fast_path = result_.fast_path && !diag_.fallback;
+  diag_.status = result_.status;
+  diag_.active = result_.active;
+  diag_.count_update();
 
   // Receding horizon: apply only Δr(k|k), clamped into the rate box.
   // Suspended tasks stay frozen. All in place: update() is EUCON_REALTIME,

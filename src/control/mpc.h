@@ -57,7 +57,6 @@ struct MpcParams {
   linalg::Vector r;            // per-task control-penalty weights (empty = 1)
   PenaltyForm penalty_form = PenaltyForm::kDeltaRate;
   ConstraintMode constraint_mode = ConstraintMode::kHardWithFallback;
-  qp::Options solver;
 
   void validate(std::size_t n, std::size_t m) const;
 };
@@ -74,9 +73,12 @@ MpcMatrices build_mpc_matrices(const PlantModel& model, const MpcParams& params)
 
 class MpcController final : public Controller {
  public:
-  // `shared_workspace` (optional) routes the active-set QP through a
-  // caller-owned workspace from the first solve on, and the private
-  // workspace is never sized — see set_shared_workspace.
+  // `shared_workspace` (optional) routes the QP through a caller-owned
+  // workspace, which this controller reserves for its larger constraint
+  // template (growth-only); the private one is then never sized. The
+  // hierarchical controller shares one across every local MPC, so scratch
+  // scales with the largest local problem. It must outlive the controller,
+  // and controllers updated concurrently must not share one.
   MpcController(PlantModel model, MpcParams params,
                 linalg::Vector initial_rates,
                 qp::QpWorkspace* shared_workspace = nullptr);
@@ -135,41 +137,17 @@ class MpcController final : public Controller {
   // the predicted utilization change F Δr(k-1) for gain estimation.
   const linalg::Vector& last_applied_delta() const { return dr_prev_; }
 
-  // Diagnostics.
-  qp::Status last_status() const { return last_status_; }
-  std::uint64_t fallback_count() const { return fallback_count_; }
-  std::uint64_t update_count() const { return update_count_; }
-
-  // Per-period solver observability (the trace layer reads these right
-  // after update()): the dual adds plus drops of the last update (both
-  // solves when it fell back), whether its first solve's unconstrained
-  // minimizer was already feasible (never true in a fallback period, so a
-  // fast path always has 0 iterations), whether the utilization rows were
-  // dropped (the hard instance was not solved to optimality), and the
-  // applied solve's active rows in ascending order.
-  int last_iterations() const { return last_iterations_; }
-  bool last_fast_path() const { return last_fast_path_; }
-  bool last_used_fallback() const { return last_used_fallback_; }
-  const std::vector<std::size_t>& last_working_set() const {
-    return result_.active;
-  }
-  std::uint64_t qp_iterations_total() const { return qp_iterations_total_; }
-  std::uint64_t fast_path_hits() const { return fast_path_hits_; }
+  const Diagnostics* diagnostics() const override { return &diag_; }
+  // The record's run totals, for callers holding an MpcController.
+  std::uint64_t update_count() const { return diag_.updates; }
+  std::uint64_t qp_iterations_total() const { return diag_.qp_iterations; }
+  std::uint64_t fast_path_hits() const { return diag_.fast_path_hits; }
+  std::uint64_t fallback_count() const { return diag_.fallbacks; }
 
   // Attaches a metrics registry (null detaches): update() then records the
   // `mpc.update` / `qp.solve` scoped timers and nothing else changes. The
   // registry must outlive the controller or the next set call.
   void set_metrics_registry(obs::Registry* registry) { metrics_ = registry; }
-
-  // Routes the active-set QP through a caller-owned workspace instead of
-  // the controller's private one (null restores the private workspace).
-  // The hierarchical controller shares one workspace — sized here to this
-  // controller's larger constraint template, growth-only — across every
-  // local MPC in a shard, so scratch memory scales with the largest local
-  // problem instead of with controller count. The workspace must outlive
-  // the controller or the next set call; sharing one workspace across
-  // controllers updated concurrently is a data race.
-  void set_shared_workspace(qp::QpWorkspace* ws);
 
  private:
   // Rebuilds the constraint-matrix templates (they depend only on the
@@ -200,14 +178,7 @@ class MpcController final : public Controller {
   linalg::Vector gain_estimate_;  // per-processor; all-ones = paper's G = I
   linalg::Vector rates_;    // r(k-1), the currently applied rates
   linalg::Vector dr_prev_;  // Δr(k-1) actually applied
-  qp::Status last_status_ = qp::Status::kOptimal;
-  std::uint64_t fallback_count_ = 0;
-  std::uint64_t update_count_ = 0;
-  int last_iterations_ = 0;
-  bool last_fast_path_ = false;
-  bool last_used_fallback_ = false;
-  std::uint64_t qp_iterations_total_ = 0;
-  std::uint64_t fast_path_hits_ = 0;
+  Diagnostics diag_;  // `active` views result_.active
   obs::Registry* metrics_ = nullptr;  // non-owning; null = no metrics
 
   // Per-period scratch, sized in rebuild_constraint_templates.
@@ -220,8 +191,6 @@ class MpcController final : public Controller {
   qp::LsqlinResult result_;  // per-period solver result (reused as scratch)
   // QP scratch, reserved for the larger constraint template so a period's
   // solve — fallback included — never touches the heap.
-  // `shared_ws_` (when set) substitutes a caller-owned workspace for the
-  // private one on every solve.
   qp::QpWorkspace qp_ws_;
   qp::QpWorkspace* shared_ws_ = nullptr;  // non-owning; null = use qp_ws_
 

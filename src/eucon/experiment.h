@@ -124,21 +124,13 @@ struct ExperimentResult {
   std::vector<SampleRecord> trace;
   linalg::Vector set_points;
   rts::DeadlineStats deadlines{0};
-  std::uint64_t controller_fallbacks = 0;  // EUCON infeasible-instance count
+  // The run's totals: the record a trace ends with, and the one the
+  // registry counters are written from. Filled with or without a sink.
+  obs::RunSummary summary;
   std::uint64_t admission_suspensions = 0;
   std::uint64_t admission_readmissions = 0;
-  std::uint64_t lost_reports = 0;  // injected feedback-lane losses
   std::vector<control::Move> reallocations;  // executed migrations, in order
   rts::TraceLog trace_log;  // populated when sim.enable_trace is set
-
-  // Fault-injection / degradation accounting (all zero for clean runs).
-  std::uint64_t forced_losses = 0;        // injector-forced lane losses
-  std::uint64_t actuation_lost_commands = 0;
-  std::uint64_t overload_injections = 0;
-  std::uint64_t blackout_periods = 0;
-  std::uint64_t stale_drops = 0;     // lanes dropped from the tracked set
-  std::uint64_t stale_restores = 0;  // lanes restored after a fresh report
-  int max_staleness = 0;             // worst consecutive-loss streak
 
   // Series of u_p(k) for processor p.
   std::vector<double> utilization_series(std::size_t processor) const;

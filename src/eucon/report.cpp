@@ -79,8 +79,8 @@ void write_summary(const ExperimentResult& result, std::ostream& out,
         << rt.mean() << " max " << rt.max() << " (" << rt.count()
         << " instances)\n";
   }
-  out << "controller fallbacks: " << result.controller_fallbacks << "\n";
-  out << "lost reports: " << result.lost_reports << "\n";
+  out << "controller fallbacks: " << result.summary.controller_fallbacks << "\n";
+  out << "lost reports: " << result.summary.lost_reports << "\n";
   if (result.admission_suspensions || result.admission_readmissions)
     out << "admission: " << result.admission_suspensions << " suspensions, "
         << result.admission_readmissions << " readmissions\n";

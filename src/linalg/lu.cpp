@@ -1,7 +1,6 @@
 #include "linalg/lu.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -10,112 +9,50 @@ namespace eucon::linalg {
 namespace {
 // Relative threshold below which a pivot is treated as zero.
 constexpr double kPivotTol = 1e-13;
+}  // namespace
 
-// rr[c] -= m * rk[c] for c in [begin, n), two doubles per step, so it
-// compiles to packed mulpd/subpd at -O2 and its speed does not depend on
-// where the linker happens to place it. Each element is still one
-// multiply and one subtract, each rounded once, so results match the
-// scalar loop bit for bit (ISO C++ and no -mfma: no contraction).
-void eliminate_row(double* rr, const double* rk, double m, std::size_t begin,
-                   std::size_t n) {
-  using Pair = double __attribute__((vector_size(16)));
-  const Pair mm = {m, m};
-  std::size_t c = begin;
-  for (; c + 2 <= n; c += 2) {
-    Pair a;
-    Pair b;
-    std::memcpy(&a, rr + c, sizeof a);
-    std::memcpy(&b, rk + c, sizeof b);
-    a -= mm * b;
-    std::memcpy(rr + c, &a, sizeof a);
-  }
-  if (c < n) rr[c] -= m * rk[c];
-}
+Lu::Lu(const Matrix& a) : n_(a.rows()), lu_(a), piv_(n_) {
+  EUCON_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
+  EUCON_CHECK_FINITE_MAT("Lu::Lu input", a);
+  for (std::size_t i = 0; i < n_; ++i) piv_[i] = i;
 
-// Shared elimination core: factors `lu` in place, writes the permutation
-// into piv[0..n), flips *sign per row swap when non-null. Returns false when
-// a pivot is (numerically) zero — the loop still completes so determinant()
-// stays meaningful, but solves must be refused.
-bool lu_factor(Matrix& lu, std::size_t* piv, int* sign) {
-  const std::size_t n = lu.rows();
-  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-
-  double scale = lu.norm_inf();
+  double scale = lu_.norm_inf();
   if (scale == 0.0) scale = 1.0;  // eucon-lint: allow(float-equality)
 
-  bool invertible = true;
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < n_; ++k) {
     // Partial pivoting: largest magnitude in column k at/below the diagonal.
     std::size_t pivot_row = k;
-    double pivot_mag = std::abs(lu(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double mag = std::abs(lu(r, k));
+    double pivot_mag = std::abs(lu_(k, k));
+    for (std::size_t r = k + 1; r < n_; ++r) {
+      const double mag = std::abs(lu_(r, k));
       if (mag > pivot_mag) {
         pivot_mag = mag;
         pivot_row = r;
       }
     }
     if (pivot_mag <= kPivotTol * scale) {
-      invertible = false;
-      continue;  // leave the (near-)zero pivot; solves will refuse
+      // Leave the (near-)zero pivot and finish the elimination, so
+      // determinant() stays meaningful; solves refuse.
+      invertible_ = false;
+      continue;
     }
     if (pivot_row != k) {
-      double* rk = lu.row_ptr(k);
-      double* rp = lu.row_ptr(pivot_row);
-      for (std::size_t c = 0; c < n; ++c) std::swap(rk[c], rp[c]);
-      std::swap(piv[k], piv[pivot_row]);
-      if (sign != nullptr) *sign = -*sign;
+      double* rk = lu_.row_ptr(k);
+      double* rp = lu_.row_ptr(pivot_row);
+      for (std::size_t c = 0; c < n_; ++c) std::swap(rk[c], rp[c]);
+      std::swap(piv_[k], piv_[pivot_row]);
+      sign_ = -sign_;
     }
-    const double inv_pivot = 1.0 / lu(k, k);
-    const double* rk = lu.row_ptr(k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      double* rr = lu.row_ptr(r);
+    const double inv_pivot = 1.0 / lu_(k, k);
+    const double* rk = lu_.row_ptr(k);
+    for (std::size_t r = k + 1; r < n_; ++r) {
+      double* rr = lu_.row_ptr(r);
       const double m = rr[k] * inv_pivot;
       rr[k] = m;
       if (m == 0.0) continue;  // eucon-lint: allow(float-equality)
-      eliminate_row(rr, rk, m, k + 1, n);
+      for (std::size_t c = k + 1; c < n_; ++c) rr[c] -= m * rk[c];
     }
   }
-  return invertible;
-}
-
-}  // namespace
-
-Lu::Lu(const Matrix& a) : n_(a.rows()), lu_(a), piv_(n_) {
-  EUCON_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
-  EUCON_CHECK_FINITE_MAT("Lu::Lu input", a);
-  invertible_ = lu_factor(lu_, piv_.data(), &sign_);
-}
-
-bool Lu::factor_into(Matrix& a, std::vector<std::size_t>& piv) {
-  EUCON_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
-  EUCON_REQUIRE(piv.size() >= a.rows(), "factor_into pivot buffer too small");
-  EUCON_CHECK_FINITE_MAT("Lu::factor_into input", a);
-  return lu_factor(a, piv.data(), nullptr);
-}
-
-void Lu::solve_into(const Matrix& lu, const std::vector<std::size_t>& piv,
-                    const Vector& b, Vector& x) {
-  const std::size_t n = lu.rows();
-  EUCON_REQUIRE(lu.cols() == n && b.size() == n && piv.size() >= n,
-                "LU solve_into size mismatch");
-  // Steady-state no-op: callers reuse `x` across solves.
-  x.data().resize(n);  // eucon-lint: allow(allocation-in-realtime)
-  // Forward substitution with permuted rhs (L has unit diagonal).
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = lu.row_ptr(i);
-    double acc = b[piv[i]];
-    for (std::size_t j = 0; j < i; ++j) acc -= row[j] * x[j];
-    x[i] = acc;
-  }
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    const double* row = lu.row_ptr(ii);
-    double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= row[j] * x[j];
-    x[ii] = acc / row[ii];
-  }
-  EUCON_CHECK_FINITE_VEC("Lu::solve_into result", x);
 }
 
 double Lu::determinant() const {
@@ -128,7 +65,21 @@ Vector Lu::solve(const Vector& b) const {
   EUCON_REQUIRE(b.size() == n_, "LU solve size mismatch");
   if (!invertible_) EUCON_FAIL("Lu::solve: singular matrix");
   Vector x(n_);
-  solve_into(lu_, piv_, b, x);
+  // Forward substitution with permuted rhs (L has unit diagonal).
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double* row = lu_.row_ptr(i);
+    double acc = b[piv_[i]];
+    for (std::size_t j = 0; j < i; ++j) acc -= row[j] * x[j];
+    x[i] = acc;
+  }
+  // Back substitution.
+  for (std::size_t ii = n_; ii-- > 0;) {
+    const double* row = lu_.row_ptr(ii);
+    double acc = x[ii];
+    for (std::size_t j = ii + 1; j < n_; ++j) acc -= row[j] * x[j];
+    x[ii] = acc / row[ii];
+  }
+  EUCON_CHECK_FINITE_VEC("Lu::solve result", x);
   return x;
 }
 

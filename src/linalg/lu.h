@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/annotations.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -24,22 +23,6 @@ class Lu {
   Matrix solve(const Matrix& b) const;
 
   Matrix inverse() const;
-
-  // In-place variants for preallocated buffers.
-  //
-  // factor_into overwrites `a` with the packed L (unit diagonal) / U factors
-  // and records the row permutation in the first a.rows() entries of `piv`
-  // (which the caller must have sized at least that large). Returns false
-  // when a pivot is (numerically) zero; the factors are then unusable for
-  // solve_into. Performs no heap allocation.
-  static bool factor_into(Matrix& a, std::vector<std::size_t>& piv)
-      EUCON_REALTIME;
-
-  // Solves (LU) x = b from factor_into's output (which must have returned
-  // true). `x` is resized in place — a steady-state no-op when the caller
-  // reuses it — and must not alias `b`.
-  static void solve_into(const Matrix& lu, const std::vector<std::size_t>& piv,
-                         const Vector& b, Vector& x) EUCON_REALTIME;
 
  private:
   std::size_t n_;

@@ -63,10 +63,13 @@ struct PeriodRecord {
 };
 
 // Monotone totals at the end of a run; the invariant tests check these
-// against the sum of the per-period records.
+// against the sum of the per-period records. run_experiment keeps this
+// record as ExperimentResult::summary and writes the registry from it.
 struct RunSummary {
   std::uint64_t periods = 0;
   std::uint64_t lost_reports = 0;
+  // The controller's QP totals (control::Diagnostics; zero without a QP).
+  std::uint64_t controller_updates = 0;  // not in the JSONL line
   std::uint64_t controller_fallbacks = 0;
   std::uint64_t qp_iterations_total = 0;
   std::uint64_t qp_fast_path_hits = 0;

@@ -162,7 +162,7 @@ Status solve_dual_into(const Matrix& j0t, const Matrix& a, const Vector& b,
   for (;;) {
     // The most violated inactive row (ties keep the lowest index).
     std::size_t p = m;
-    double worst = opts.constraint_tol;
+    double worst = kConstraintTol;
     for (std::size_t i = 0; i < m; ++i) {
       if (ws.in_active[i]) continue;
       const double viol = linalg::row_dot(a, i, x) - b[i];

@@ -20,7 +20,7 @@
 // factorization is the one that produced J0 = L^{-T}, made once per
 // Hessian (LsqlinSolver derives it from its cached QR of C).
 //
-// Contract: a kOptimal x is primal feasible within constraint_tol. A dual
+// Contract: a kOptimal x is primal feasible within kConstraintTol. A dual
 // method is primal infeasible until it ends, so a kMaxIterations or
 // kInfeasible x satisfies only the rows reported active.
 //
@@ -40,8 +40,11 @@ namespace eucon::qp {
 struct Options {
   // Cap on adds plus drops.
   int max_iterations = 1000;
-  double constraint_tol = 1e-9;   // feasibility tolerance on A x <= b
 };
+
+// Feasibility tolerance on A x <= b: a row is violated when
+// a_i x - b_i > kConstraintTol.
+inline constexpr double kConstraintTol = 1e-9;
 
 // Added to diag(H) before every Cholesky factorization (solve_qp, and
 // LsqlinSolver when C is rank deficient or wider than tall), so that a

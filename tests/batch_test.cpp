@@ -47,8 +47,8 @@ void expect_bit_identical(const ExperimentResult& a, const ExperimentResult& b) 
     ASSERT_EQ(a.trace[k].enabled_tasks, b.trace[k].enabled_tasks);
   }
   EXPECT_EQ(a.set_points.data(), b.set_points.data());
-  EXPECT_EQ(a.controller_fallbacks, b.controller_fallbacks);
-  EXPECT_EQ(a.lost_reports, b.lost_reports);
+  EXPECT_EQ(a.summary.controller_fallbacks, b.summary.controller_fallbacks);
+  EXPECT_EQ(a.summary.lost_reports, b.summary.lost_reports);
   EXPECT_EQ(a.deadlines.e2e_miss_ratio(), b.deadlines.e2e_miss_ratio());
   EXPECT_EQ(a.deadlines.subtask_miss_ratio(), b.deadlines.subtask_miss_ratio());
 }

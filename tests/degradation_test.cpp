@@ -58,15 +58,15 @@ TEST(DegradationTest, DemoScenarioDriftsWithoutDegradation) {
   // saturates — the unbounded drift the watchdog exists to stop.
   EXPECT_GT(max_u(res, 0, 25, 54), 0.99);
   EXPECT_GT(res.deadlines.e2e_miss_ratio(), 0.1);
-  EXPECT_GT(res.controller_fallbacks, 0u);
+  EXPECT_GT(res.summary.controller_fallbacks, 0u);
 
   // Fault accounting: 50 outage periods on one lane, a 10-period blackout,
   // and no degradation machinery engaged.
-  EXPECT_EQ(res.forced_losses, 50u);
-  EXPECT_EQ(res.blackout_periods, 10u);
-  EXPECT_EQ(res.max_staleness, 50);
-  EXPECT_EQ(res.stale_drops, 0u);
-  EXPECT_EQ(res.stale_restores, 0u);
+  EXPECT_EQ(res.summary.forced_losses, 50u);
+  EXPECT_EQ(res.summary.blackout_periods, 10u);
+  EXPECT_EQ(res.summary.max_staleness, 50);
+  EXPECT_EQ(res.summary.stale_drops, 0u);
+  EXPECT_EQ(res.summary.stale_restores, 0u);
 }
 
 TEST(DegradationTest, DemoScenarioBoundedUnderDegradation) {
@@ -93,11 +93,11 @@ TEST(DegradationTest, DemoScenarioBoundedUnderDegradation) {
     EXPECT_DOUBLE_EQ(res.deadlines.e2e_miss_ratio(), 0.0) << name;
 
     // The stale lane is dropped once, restored once when its outage ends.
-    EXPECT_EQ(res.forced_losses, 50u) << name;
-    EXPECT_EQ(res.blackout_periods, 10u) << name;
-    EXPECT_EQ(res.stale_drops, 1u) << name;
-    EXPECT_EQ(res.stale_restores, 1u) << name;
-    EXPECT_EQ(res.max_staleness, 50) << name;
+    EXPECT_EQ(res.summary.forced_losses, 50u) << name;
+    EXPECT_EQ(res.summary.blackout_periods, 10u) << name;
+    EXPECT_EQ(res.summary.stale_drops, 1u) << name;
+    EXPECT_EQ(res.summary.stale_restores, 1u) << name;
+    EXPECT_EQ(res.summary.max_staleness, 50) << name;
   }
 }
 
@@ -120,11 +120,11 @@ TEST(DegradationTest, WatchdogEngagesAndRecovers) {
   // Staleness hits the limit at k = 11 (second consecutive loss), so the
   // lane leaves the tracked set for k = 11..14 and returns with the first
   // delivery at k = 15: one drop, one restore, worst streak 5.
-  EXPECT_EQ(res.stale_drops, 1u);
-  EXPECT_EQ(res.stale_restores, 1u);
-  EXPECT_EQ(res.max_staleness, 5);
-  EXPECT_EQ(res.forced_losses, 5u);
-  EXPECT_EQ(res.blackout_periods, 0u);
+  EXPECT_EQ(res.summary.stale_drops, 1u);
+  EXPECT_EQ(res.summary.stale_restores, 1u);
+  EXPECT_EQ(res.summary.max_staleness, 5);
+  EXPECT_EQ(res.summary.forced_losses, 5u);
+  EXPECT_EQ(res.summary.blackout_periods, 0u);
 
   if (obs::kEnabled) {
     int dropped_periods = 0;
@@ -163,7 +163,7 @@ TEST(DegradationTest, TotalActuationOutageFreezesRates) {
   for (const SampleRecord& rec : res.trace)
     for (std::size_t j = 0; j < rec.rates.size(); ++j)
       ASSERT_DOUBLE_EQ(rec.rates[j], r0[j]) << "k=" << rec.k;
-  EXPECT_GT(res.actuation_lost_commands, 0u);
+  EXPECT_GT(res.summary.actuation_lost, 0u);
 }
 
 TEST(DegradationTest, ActuationDelayPostponesFirstCommand) {
@@ -240,12 +240,12 @@ TEST(DegradationTest, CountersMatchTraceDerivedTotals) {
   }
 
   // Trace totals == result fields == registry counters, exactly.
-  EXPECT_EQ(forced, res.forced_losses);
-  EXPECT_EQ(act_lost, res.actuation_lost_commands);
-  EXPECT_EQ(overload, res.overload_injections);
-  EXPECT_EQ(blackouts, res.blackout_periods);
-  EXPECT_EQ(drops, res.stale_drops);
-  EXPECT_EQ(restores, res.stale_restores);
+  EXPECT_EQ(forced, res.summary.forced_losses);
+  EXPECT_EQ(act_lost, res.summary.actuation_lost);
+  EXPECT_EQ(overload, res.summary.overload_injections);
+  EXPECT_EQ(blackouts, res.summary.blackout_periods);
+  EXPECT_EQ(drops, res.summary.stale_drops);
+  EXPECT_EQ(restores, res.summary.stale_restores);
 
   const obs::Snapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("faults.forced_losses"), forced);
@@ -255,7 +255,7 @@ TEST(DegradationTest, CountersMatchTraceDerivedTotals) {
   EXPECT_EQ(snap.counters.at("faults.stale_drops"), drops);
   EXPECT_EQ(snap.counters.at("faults.stale_restores"), restores);
   EXPECT_EQ(snap.gauges.at("faults.max_staleness"),
-            static_cast<double>(res.max_staleness));
+            static_cast<double>(res.summary.max_staleness));
 
   // And the injected faults actually exercised every source.
   EXPECT_GT(forced, 0u);
@@ -360,8 +360,8 @@ TEST(DegradationTest, FaultedRunIsReproducible) {
     EXPECT_EQ(a.trace[i].u, b.trace[i].u);
     EXPECT_EQ(a.trace[i].rates, b.trace[i].rates);
   }
-  EXPECT_EQ(a.forced_losses, b.forced_losses);
-  EXPECT_EQ(a.actuation_lost_commands, b.actuation_lost_commands);
+  EXPECT_EQ(a.summary.forced_losses, b.summary.forced_losses);
+  EXPECT_EQ(a.summary.actuation_lost, b.summary.actuation_lost);
 }
 
 }  // namespace

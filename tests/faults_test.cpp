@@ -23,7 +23,7 @@ ExperimentConfig base_config() {
 
 TEST(FaultsTest, NoLossByDefault) {
   const ExperimentResult res = run_experiment(base_config());
-  EXPECT_EQ(res.lost_reports, 0u);
+  EXPECT_EQ(res.summary.lost_reports, 0u);
 }
 
 TEST(FaultsTest, LossCountMatchesProbability) {
@@ -38,7 +38,7 @@ TEST(FaultsTest, LossCountMatchesProbability) {
   FeedbackLanes shadow(2, cfg.report_loss_probability, cfg.sim.seed);
   const linalg::Vector probe(2, 0.5);
   for (int k = 0; k < cfg.num_periods; ++k) (void)shadow.deliver(probe);
-  EXPECT_EQ(res.lost_reports, shadow.lost_reports());
+  EXPECT_EQ(res.summary.lost_reports, shadow.lost_reports());
 
   // And the realized count must be statistically sane for Binomial(600,
   // 0.2): mean 120, sigma = sqrt(600 * 0.2 * 0.8) ~= 9.8; a 6-sigma band
@@ -46,7 +46,8 @@ TEST(FaultsTest, LossCountMatchesProbability) {
   const double n = 2.0 * static_cast<double>(cfg.num_periods);
   const double p = cfg.report_loss_probability;
   const double sigma = std::sqrt(n * p * (1.0 - p));
-  EXPECT_NEAR(static_cast<double>(res.lost_reports), n * p, 6.0 * sigma);
+  EXPECT_NEAR(static_cast<double>(res.summary.lost_reports), n * p,
+              6.0 * sigma);
 }
 
 TEST(FaultsTest, EuconToleratesModerateReportLoss) {
@@ -75,7 +76,7 @@ TEST(FaultsTest, LossIsDeterministicPerSeed) {
   cfg.report_loss_probability = 0.3;
   const ExperimentResult a = run_experiment(cfg);
   const ExperimentResult b = run_experiment(cfg);
-  EXPECT_EQ(a.lost_reports, b.lost_reports);
+  EXPECT_EQ(a.summary.lost_reports, b.summary.lost_reports);
   for (std::size_t i = 0; i < a.trace.size(); ++i)
     EXPECT_EQ(a.trace[i].u, b.trace[i].u);
 }
@@ -156,9 +157,9 @@ TEST(FaultsTest, ScriptedOutageForcesExactLossCount) {
   ExperimentConfig cfg = base_config();
   cfg.faults.lane_outages.push_back({0, 5, 10});  // lane 0 down, k = 5..14
   const ExperimentResult res = run_experiment(cfg);
-  EXPECT_EQ(res.forced_losses, 10u);
-  EXPECT_EQ(res.lost_reports, 10u);  // no i.i.d. loss on top
-  EXPECT_EQ(res.max_staleness, 10);
+  EXPECT_EQ(res.summary.forced_losses, 10u);
+  EXPECT_EQ(res.summary.lost_reports, 10u);  // no i.i.d. loss on top
+  EXPECT_EQ(res.summary.max_staleness, 10);
 }
 
 TEST(FaultsTest, ColdStartLossHoldsRatesAtSetPoint) {

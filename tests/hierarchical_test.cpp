@@ -123,6 +123,66 @@ TEST(HierarchicalTest, SingleShardReproducesCentralMpcExactly) {
   }
 }
 
+// Through the experiment harness, one all-covering shard reports what the
+// central MPC reports: every period's qp block except the active rows, the
+// run summary and the mpc.* counters. MEDIUM with an etf step from 0.5 to
+// 3.0 at k = 100 takes both through fast paths, active rows and fallbacks.
+TEST(HierarchicalTest, SingleShardReportsTheCentralDiagnostics) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const ControllerKind kinds[] = {ControllerKind::kEucon,
+                                  ControllerKind::kHierarchical};
+  obs::MemorySink sinks[2];
+  obs::Registry registries[2];
+  ExperimentResult results[2];
+  for (int i = 0; i < 2; ++i) {
+    ExperimentConfig cfg;
+    cfg.spec = workloads::medium();
+    cfg.mpc = workloads::medium_controller_params();
+    cfg.controller = kinds[i];
+    cfg.sim.etf = rts::EtfProfile::steps({{0.0, 0.5}, {100000.0, 3.0}});
+    cfg.sim.jitter = 0.1;
+    cfg.sim.seed = 1;
+    cfg.num_periods = 200;
+    cfg.trace_sink = &sinks[i];
+    cfg.metrics = &registries[i];
+    results[i] = run_experiment(cfg);
+  }
+
+  const std::vector<obs::PeriodRecord>& central = sinks[0].records();
+  const std::vector<obs::PeriodRecord>& sharded = sinks[1].records();
+  ASSERT_EQ(central.size(), 200u);
+  ASSERT_EQ(sharded.size(), 200u);
+  for (std::size_t k = 0; k < central.size(); ++k) {
+    ASSERT_EQ(sharded[k].rates, central[k].rates) << "k=" << k + 1;
+    EXPECT_EQ(sharded[k].qp_iterations, central[k].qp_iterations)
+        << "k=" << k + 1;
+    EXPECT_EQ(sharded[k].qp_fast_path, central[k].qp_fast_path)
+        << "k=" << k + 1;
+    EXPECT_EQ(sharded[k].qp_fallback, central[k].qp_fallback) << "k=" << k + 1;
+    EXPECT_EQ(sharded[k].qp_status, central[k].qp_status) << "k=" << k + 1;
+    EXPECT_TRUE(sharded[k].qp_active_set.empty()) << "k=" << k + 1;
+  }
+
+  const obs::RunSummary& want = sinks[0].summary();
+  EXPECT_GT(want.controller_fallbacks, 0u);
+  EXPECT_GT(want.qp_fast_path_hits, 0u);
+  EXPECT_EQ(want.controller_updates, 200u);
+  for (int i = 0; i < 2; ++i) {
+    const obs::RunSummary& got = sinks[i].summary();
+    EXPECT_EQ(obs::to_jsonl(got), obs::to_jsonl(want))
+        << controller_kind_name(kinds[i]);
+    EXPECT_EQ(got.controller_updates, want.controller_updates);
+    EXPECT_EQ(obs::to_jsonl(results[i].summary), obs::to_jsonl(got));
+    EXPECT_EQ(registries[i].counter("mpc.updates"), want.controller_updates);
+    EXPECT_EQ(registries[i].counter("mpc.fallbacks"),
+              want.controller_fallbacks);
+    EXPECT_EQ(registries[i].counter("mpc.qp_iterations"),
+              want.qp_iterations_total);
+    EXPECT_EQ(registries[i].counter("mpc.fast_path_hits"),
+              want.qp_fast_path_hits);
+  }
+}
+
 TEST(HierarchicalTest, ShardedConvergesToCentralFixpointOnSmallClusters) {
   // Shard-boundary reconciliation: on every n <= 128 chain scenario the
   // sharded controller must settle to the same steady-state utilization

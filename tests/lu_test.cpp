@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstring>
-#include <utility>
-#include <vector>
-
 #include "common/rng.h"
 
 namespace eucon::linalg {
@@ -17,69 +12,6 @@ Matrix random_matrix(std::size_t n, Rng& rng) {
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) m(r, c) = rng.uniform(-5.0, 5.0);
   return m;
-}
-
-// The scalar elimination the library used before its row update was
-// vectorized: same pivoting, same tolerance, same operation order.
-bool reference_factor(Matrix& lu, std::vector<std::size_t>& piv) {
-  const std::size_t n = lu.rows();
-  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-  double scale = lu.norm_inf();
-  if (scale == 0.0) scale = 1.0;  // eucon-lint: allow(float-equality)
-  bool invertible = true;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t pivot_row = k;
-    double pivot_mag = std::abs(lu(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      if (std::abs(lu(r, k)) > pivot_mag) {
-        pivot_mag = std::abs(lu(r, k));
-        pivot_row = r;
-      }
-    }
-    if (pivot_mag <= 1e-13 * scale) {
-      invertible = false;
-      continue;
-    }
-    if (pivot_row != k) {
-      for (std::size_t c = 0; c < n; ++c)
-        std::swap(lu(k, c), lu(pivot_row, c));
-      std::swap(piv[k], piv[pivot_row]);
-    }
-    const double inv_pivot = 1.0 / lu(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = lu(r, k) * inv_pivot;
-      lu(r, k) = m;
-      if (m == 0.0) continue;  // eucon-lint: allow(float-equality)
-      for (std::size_t c = k + 1; c < n; ++c) lu(r, c) -= m * lu(k, c);
-    }
-  }
-  return invertible;
-}
-
-// Every n from 1 to 33 covers odd and even tails of the two-wide row
-// update; random entries force row swaps, and zeroed entries below the
-// diagonal give zero multipliers (rows the update skips).
-TEST(LuTest, EliminationMatchesScalarReferenceBitForBit) {
-  Rng rng(2026);
-  for (std::size_t n = 1; n <= 33; ++n) {
-    for (int trial = 0; trial < 4; ++trial) {
-      Matrix a = random_matrix(n, rng);
-      for (std::size_t r = 1; r < n; ++r)
-        if (rng.next_double() < 0.3) a(r, 0) = 0.0;
-      if (trial == 3 && n > 2) a.set_col(1, a.col(0));  // singular
-      Matrix fast = a;
-      Matrix ref = a;
-      std::vector<std::size_t> fast_piv(n), ref_piv(n);
-      const bool fast_ok = Lu::factor_into(fast, fast_piv);
-      const bool ref_ok = reference_factor(ref, ref_piv);
-      ASSERT_EQ(fast_ok, ref_ok) << "n = " << n;
-      ASSERT_EQ(fast_piv, ref_piv) << "n = " << n;
-      ASSERT_EQ(std::memcmp(fast.row_ptr(0), ref.row_ptr(0),
-                            n * n * sizeof(double)),
-                0)
-          << "n = " << n << ", trial " << trial;
-    }
-  }
 }
 
 TEST(LuTest, SolvesKnownSystem) {

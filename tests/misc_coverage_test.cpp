@@ -69,7 +69,7 @@ TEST(MiscTest, MpcUpdateCountAndStatusExposed) {
   (void)ctrl.update(linalg::Vector{0.5, 0.5});
   (void)ctrl.update(linalg::Vector{0.6, 0.6});
   EXPECT_EQ(ctrl.update_count(), 2u);
-  EXPECT_EQ(ctrl.last_status(), qp::Status::kOptimal);
+  EXPECT_EQ(ctrl.diagnostics()->status, qp::Status::kOptimal);
 }
 
 TEST(MiscTest, GainEstimateRoundTrip) {

@@ -220,10 +220,10 @@ TEST(MpcTest, FallsBackExactlyWhenRateFloorOverloads) {
       MpcController ctrl(model, params[s], r);
       (void)ctrl.update(u);
       const bool infeasible = margin < 0.0;
-      EXPECT_EQ(ctrl.last_used_fallback(), infeasible)
+      EXPECT_EQ(ctrl.diagnostics()->fallback, infeasible)
           << "shape " << s << " instance " << k << " margin " << margin;
       EXPECT_EQ(ctrl.fallback_count(), infeasible ? 1u : 0u);
-      EXPECT_EQ(ctrl.last_status(), qp::Status::kOptimal);
+      EXPECT_EQ(ctrl.diagnostics()->status, qp::Status::kOptimal);
       (infeasible ? overloaded : feasible) += 1;
     }
     EXPECT_GT(overloaded, 0) << "shape " << s;
@@ -273,14 +273,15 @@ TEST(MpcTest, FallbackPeriodIsNeverAFastPathHit) {
       MpcController rates_only(model, soft, r);
       const Vector applied = hard.update(u);
       const Vector expected = rates_only.update(u);
-      ASSERT_TRUE(hard.last_used_fallback()) << "shape " << s << " k " << k;
-      EXPECT_GT(hard.last_iterations(), rates_only.last_iterations());
-      EXPECT_FALSE(hard.last_fast_path()) << "shape " << s << " k " << k;
+      const Diagnostics& diag = *hard.diagnostics();
+      ASSERT_TRUE(diag.fallback) << "shape " << s << " k " << k;
+      EXPECT_GT(diag.iterations, rates_only.diagnostics()->iterations);
+      EXPECT_FALSE(diag.fast_path) << "shape " << s << " k " << k;
       EXPECT_EQ(hard.fast_path_hits(), 0u);
       EXPECT_EQ(hard.qp_iterations_total(),
-                static_cast<std::uint64_t>(hard.last_iterations()));
+                static_cast<std::uint64_t>(diag.iterations));
       for (std::size_t j = 0; j < m; ++j) EXPECT_EQ(applied[j], expected[j]);
-      if (rates_only.last_fast_path()) ++in_band;
+      if (rates_only.diagnostics()->fast_path) ++in_band;
     }
     EXPECT_GT(in_band, 0) << "shape " << s;
     std::printf("shape %zu: %d of 100 in the band\n", s, in_band);

@@ -2,11 +2,11 @@
 //  - spec parser: random corruptions of a valid file must either parse to
 //    a valid spec or throw std::invalid_argument — never crash, hang, or
 //    return an invalid spec;
-//  - closed loop under observation: random valid workloads run with a
-//    MemorySink + Registry attached, and the structured trace must satisfy
-//    the per-period invariants of docs/observability.md (rate bounds,
-//    Δr bookkeeping, monotone timestamps, counter/trace/summary totals all
-//    agreeing).
+//  - closed loop under observation: random valid workloads run under each
+//    QP-backed controller with a MemorySink + Registry attached, and the
+//    structured trace must satisfy the per-period invariants of
+//    docs/observability.md (rate bounds, Δr bookkeeping, monotone
+//    timestamps, trace/summary/result/registry totals all agreeing).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,7 +99,9 @@ namespace eucon {
 namespace {
 
 // One fuzzed closed-loop run per seed: a random valid workload, short
-// horizon, randomized environment, full observability attached.
+// horizon, randomized environment, full observability attached. The seed
+// also picks the controller (EUCON, EUCON-A, HIER with one- or
+// two-processor shards, DEUCON) without changing the workload draws.
 class ObsInvariantFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
@@ -121,6 +123,13 @@ TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
   cfg.report_loss_probability = rng.next_double() < 0.5 ? 0.15 : 0.0;
   cfg.num_periods = static_cast<int>(rng.uniform_int(5, 15));
   cfg.run_name = "fuzz-" + std::to_string(seed);
+  const ControllerKind kinds[] = {
+      ControllerKind::kEucon, ControllerKind::kAdaptive,
+      ControllerKind::kHierarchical, ControllerKind::kDecentralized};
+  cfg.controller = kinds[seed % 4];
+  cfg.hier.shard_size = 1 + seed / 4 % 2;
+  const bool sharded = cfg.controller == ControllerKind::kHierarchical ||
+                       cfg.controller == ControllerKind::kDecentralized;
 
   obs::MemorySink sink;
   obs::Registry registry;
@@ -174,12 +183,15 @@ TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
     }
     prev_rates = &rec.rates;
 
-    // The QP block is present for the MPC controller and self-consistent.
+    // The QP block is present for every QP controller and self-consistent.
     ASSERT_GE(rec.qp_iterations, 0) << "k=" << k;
     if (rec.qp_fast_path) {
       EXPECT_EQ(rec.qp_iterations, 0) << "k=" << k;
     }
     EXPECT_FALSE(rec.qp_status.empty()) << "k=" << k;
+    if (sharded) {
+      EXPECT_TRUE(rec.qp_active_set.empty()) << "k=" << k;
+    }
 
     lost_sum += rec.lost_reports;
     stall_sum += rec.release_guard_stalls;
@@ -194,11 +206,13 @@ TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
   EXPECT_EQ(sum.periods, static_cast<std::uint64_t>(cfg.num_periods));
   EXPECT_EQ(sum.lost_reports, lost_sum);
   EXPECT_EQ(sum.release_guard_stalls, stall_sum);
+  EXPECT_EQ(sum.controller_updates,
+            static_cast<std::uint64_t>(cfg.num_periods));
   EXPECT_EQ(sum.qp_iterations_total, qp_iter_sum);
   EXPECT_EQ(sum.qp_fast_path_hits, fast_path_sum);
   EXPECT_EQ(sum.controller_fallbacks, fallback_sum);
-  EXPECT_EQ(res.lost_reports, lost_sum);
-  EXPECT_EQ(res.controller_fallbacks, fallback_sum);
+  EXPECT_EQ(obs::to_jsonl(res.summary), obs::to_jsonl(sum));
+  EXPECT_EQ(res.summary.controller_updates, sum.controller_updates);
 
   EXPECT_EQ(registry.counter("experiment.runs"), 1u);
   EXPECT_EQ(registry.counter("experiment.periods"),
@@ -211,13 +225,14 @@ TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
   EXPECT_EQ(registry.counter("mpc.updates"),
             static_cast<std::uint64_t>(cfg.num_periods));
   EXPECT_EQ(registry.counter("sim.jobs_released"), sum.jobs_released);
-  // Timers fired once per period on the instrumented hot paths.
-  EXPECT_EQ(registry.timer("experiment.period").count,
-            static_cast<std::uint64_t>(cfg.num_periods));
-  EXPECT_EQ(registry.timer("mpc.update").count,
-            static_cast<std::uint64_t>(cfg.num_periods));
-  EXPECT_EQ(registry.timer("qp.solve").count,
-            static_cast<std::uint64_t>(cfg.num_periods));
+  // Timers fired once per period on the instrumented hot paths; the
+  // per-solve timers belong to the central MPC alone.
+  const std::uint64_t periods = static_cast<std::uint64_t>(cfg.num_periods);
+  const std::uint64_t solves =
+      cfg.controller == ControllerKind::kEucon ? periods : 0;
+  EXPECT_EQ(registry.timer("experiment.period").count, periods);
+  EXPECT_EQ(registry.timer("mpc.update").count, solves);
+  EXPECT_EQ(registry.timer("qp.solve").count, solves);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ObsInvariantFuzz, ::testing::Range(1, 201));

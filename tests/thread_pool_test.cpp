@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -44,12 +45,19 @@ TEST(ThreadPoolTest, RunsManyTasksExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesWithOriginalType) {
-  ThreadPool pool(2);
-  auto f = pool.submit(
-      []() -> int { EUCON_FAIL_INVALID("bad task input"); });
+  std::future<int> f;
+  std::future<int> g;
+  {
+    ThreadPool pool(2);
+    f = pool.submit([]() -> int { EUCON_FAIL_INVALID("bad task input"); });
+    g = pool.submit([]() -> int { EUCON_FAIL("task blew up"); });
+  }
+  // The pool has joined its workers, so neither still holds a reference to
+  // a task: the futures own the stored exceptions alone. A worker dropping
+  // the last reference frees the exception through an atomic refcount in
+  // the uninstrumented runtime, which TSan would report as a race with
+  // e.what() below.
   EXPECT_THROW(f.get(), std::invalid_argument);
-
-  auto g = pool.submit([]() -> int { EUCON_FAIL("task blew up"); });
   try {
     g.get();
     FAIL() << "expected std::runtime_error";

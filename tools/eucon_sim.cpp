@@ -419,6 +419,7 @@ int main(int argc, char** argv) {
     }
 
     if (summary) {
+      const obs::RunSummary& totals = res.summary;
       std::printf("# controller: %s\n", controller_kind_name(cfg.controller));
       for (std::size_t p = 0; p < n; ++p) {
         const std::size_t from =
@@ -433,8 +434,8 @@ int main(int argc, char** argv) {
       std::printf("# subtask deadline miss ratio: %.4f\n",
                   res.deadlines.subtask_miss_ratio());
       std::printf("# controller fallbacks: %llu, lost reports: %llu\n",
-                  static_cast<unsigned long long>(res.controller_fallbacks),
-                  static_cast<unsigned long long>(res.lost_reports));
+                  static_cast<unsigned long long>(totals.controller_fallbacks),
+                  static_cast<unsigned long long>(totals.lost_reports));
       if (cfg.enable_admission_control)
         std::printf("# admission: %llu suspensions, %llu readmissions\n",
                     static_cast<unsigned long long>(res.admission_suspensions),
@@ -446,17 +447,17 @@ int main(int argc, char** argv) {
         std::printf(
             "# faults: forced losses %llu, actuation lost %llu, "
             "overload injections %llu, blackout periods %llu\n",
-            static_cast<unsigned long long>(res.forced_losses),
-            static_cast<unsigned long long>(res.actuation_lost_commands),
-            static_cast<unsigned long long>(res.overload_injections),
-            static_cast<unsigned long long>(res.blackout_periods));
+            static_cast<unsigned long long>(totals.forced_losses),
+            static_cast<unsigned long long>(totals.actuation_lost),
+            static_cast<unsigned long long>(totals.overload_injections),
+            static_cast<unsigned long long>(totals.blackout_periods));
         std::printf(
             "# degradation: policy %s, stale drops %llu, restores %llu, "
             "max staleness %d\n",
             faults::degrade_policy_name(cfg.degrade.policy),
-            static_cast<unsigned long long>(res.stale_drops),
-            static_cast<unsigned long long>(res.stale_restores),
-            res.max_staleness);
+            static_cast<unsigned long long>(totals.stale_drops),
+            static_cast<unsigned long long>(totals.stale_restores),
+            totals.max_staleness);
       }
     }
 
