@@ -3,15 +3,15 @@
 //
 // Ownership partitions the actuators: every task is commanded by exactly
 // one controller, the one responsible for the processor that OWNS the
-// task. The rule, stated once here so every configuration agrees:
+// task. The rule, stated once here so every configuration — and the
+// fault injector's actuation messages (eucon/experiment.cpp) — agrees:
 //
 //   owner(j) = the processor with the largest allocation entry f(i, j);
 //   exact ties break to the LOWEST processor index.
 //
-// This is a deterministic stand-in for "the processor of the first
-// subtask", which the flattened F cannot recover. A task whose F column is
-// all zero touches no processor and cannot be controlled — that is a model
-// error, reported with the offending task index.
+// A task whose F column is all zero touches no processor and cannot be
+// controlled — that is a model error, reported with the offending task
+// index.
 #pragma once
 
 #include <cstddef>

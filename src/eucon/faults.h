@@ -91,8 +91,8 @@ struct FaultPlan {
   GilbertElliott lane_loss;  // per-lane bursty report loss
 
   // I.i.d. per-processor per-period loss of the actuation message carrying
-  // that processor's owned-task rates (owner = host of the task's first
-  // subtask).
+  // that processor's owned-task rates (owner = control/topology.h's rule:
+  // the largest allocation entry, ties to the lowest index).
   double actuation_loss = 0.0;
   // Every actuation message arrives this many sampling periods late (0 =
   // the paper's assumption). Complements SimOptions::feedback_lane_delay,
