@@ -66,7 +66,11 @@ TEST(DecentralizedTest, LocalProblemsAreSmallerThanCentralized) {
 TEST(DecentralizedTest, EachShardSolvesAgainstTheRawMeasurement) {
   // The Jacobi sweep: every one-processor shard's output equals that of an
   // independent MPC built on the shard's sub-block of F and fed the same
-  // measured u — no shard sees another's moves within the period.
+  // measured u — no shard sees another's moves within the period. The
+  // sweep's diagnostics fold those controllers' records: iterations
+  // summed, fast path when all held, fallback when any fell back, the
+  // first non-optimal status, no active rows. A load spike on P1 after
+  // period 15 makes one shard fall back while the others do not.
   const PlantModel model = make_plant_model(workloads::medium());
   const MpcParams params = workloads::medium_controller_params();
   const Vector r0 = workloads::medium().initial_rate_vector();
@@ -98,8 +102,11 @@ TEST(DecentralizedTest, EachShardSolvesAgainstTheRawMeasurement) {
 
   SparseLinearPlant plant(sparsify(model), Vector(4, 0.8), r0);
   Vector u = plant.utilization();
+  int fallback_periods = 0;
   for (int k = 0; k < 30; ++k) {
     const Vector& r = ctrl->update(u);
+    Diagnostics fold;
+    fold.fast_path = true;
     for (std::size_t s = 0; s < ctrl->num_shards(); ++s) {
       const auto& rows = ctrl->shard_rows(s);
       const auto& tasks = ctrl->shard_tasks(s);
@@ -109,9 +116,27 @@ TEST(DecentralizedTest, EachShardSolvesAgainstTheRawMeasurement) {
       for (std::size_t ji = 0; ji < tasks.size(); ++ji)
         ASSERT_EQ(r[tasks[ji]], r_local[ji])
             << "period " << k << " shard " << s << " task " << tasks[ji];
+      const Diagnostics& local = *independent[s]->diagnostics();
+      fold.iterations += local.iterations;
+      fold.fast_path = fold.fast_path && local.fast_path;
+      fold.fallback = fold.fallback || local.fallback;
+      if (fold.status == qp::Status::kOptimal) fold.status = local.status;
     }
+    const Diagnostics& sweep = *ctrl->diagnostics();
+    EXPECT_EQ(sweep.iterations, fold.iterations) << "period " << k;
+    EXPECT_EQ(sweep.fast_path, fold.fast_path) << "period " << k;
+    EXPECT_EQ(sweep.fallback, fold.fallback) << "period " << k;
+    EXPECT_EQ(sweep.status, fold.status) << "period " << k;
+    EXPECT_TRUE(sweep.active.empty()) << "period " << k;
+    if (fold.fallback) ++fallback_periods;
     u = plant.step(r);
+    if (k == 15) {
+      u[0] = 1.0;
+      plant.set_utilization(u);
+    }
   }
+  EXPECT_GT(fallback_periods, 0);
+  EXPECT_EQ(ctrl->diagnostics()->updates, 30u);
 }
 
 TEST(DecentralizedTest, ConvergesOnLinearPlantSimple) {
