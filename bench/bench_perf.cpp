@@ -19,22 +19,22 @@
 //   --smoke      tiny iteration counts (the ctest gate)
 //   --json PATH  where to write the JSON report (default BENCH_PERF.json)
 //
-// After writing the report the harness re-reads and validates it against
-// the schema; a malformed report is a non-zero exit, so the ctest smoke
-// run is a real gate on the file format.
+// After writing the report the harness re-reads it and applies
+// bench/report_checks.h's perf_report_violations, the same rules the
+// checked-in BENCH_PERF.json is held to; a violation is a non-zero exit, so
+// the ctest smoke run is a real gate on the file format.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "eucon/eucon.h"
+#include "report_checks.h"
 
 using namespace eucon;
 
@@ -287,7 +287,7 @@ struct BatchResult {
   // Speedup claims are only honest when the machine can actually run
   // workers in parallel. On a 1-core box the pool measures queueing
   // overhead, not scaling, so `speedup` is withheld (JSON null) and
-  // `speedup_claimed` is false — the check.sh --perf gate enforces this.
+  // `speedup_claimed` is false — perf_report_violations enforces this.
   bool speedup_claimed = false;
   double speedup = 0.0;  // meaningful only when speedup_claimed
   std::vector<BatchScalingPoint> scaling;  // pooled throughput per worker count
@@ -370,7 +370,6 @@ BatchResult bench_batch(std::size_t runs, int periods) {
 // ---------------------------------------------------------------------------
 
 struct ObsReport {
-  bool compiled_in = obs::kEnabled;
   double base_p50_us = 0.0;      // mpc_update_medium, null registry
   double observed_p50_us = 0.0;  // mpc_update_observed, live registry
   double overhead_pct = 0.0;     // (observed - base) / base * 100
@@ -397,7 +396,7 @@ ObsReport make_obs_report(const SectionResult& base,
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission + schema validation
+// JSON emission
 // ---------------------------------------------------------------------------
 
 std::string json_number(double v) {
@@ -442,9 +441,9 @@ void write_report(const std::string& path,
       << ",\n";
   out << "    \"parallel_runs_per_sec\": "
       << json_number(batch.parallel_runs_per_sec) << ",\n";
-  // The honesty contract: a 1-core run writes null, never a number — the
-  // schema validator and check.sh --perf both reject a report that claims
-  // a speedup it could not have measured.
+  // The honesty contract: a 1-core run writes null, never a number —
+  // perf_report_violations rejects a report that claims a speedup it could
+  // not have measured.
   out << "    \"speedup_claimed\": "
       << (batch.speedup_claimed ? "true" : "false") << ",\n";
   if (batch.speedup_claimed)
@@ -461,8 +460,6 @@ void write_report(const std::string& path,
   }
   out << "  ],\n";
   out << "  \"obs\": {\n";
-  out << "    \"compiled_in\": " << (obs_report.compiled_in ? "true" : "false")
-      << ",\n";
   out << "    \"mpc_update_p50_us\": " << json_number(obs_report.base_p50_us)
       << ",\n";
   out << "    \"mpc_update_observed_p50_us\": "
@@ -480,121 +477,6 @@ void write_report(const std::string& path,
   out << "  }\n";
   out << "}\n";
   EUCON_REQUIRE(out.good(), "failed writing JSON report: " + path);
-}
-
-// Re-reads the emitted report and checks the schema; returns the number of
-// violations (0 = valid).
-int validate_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "schema: cannot reopen %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  bench::JsonReader reader(buf.str());
-  try {
-    reader.parse();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "schema: %s does not parse: %s\n", path.c_str(),
-                 e.what());
-    return 1;
-  }
-
-  int violations = 0;
-  const auto need = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "schema: %s\n", what);
-      ++violations;
-    }
-  };
-  need(reader.has_number("schema_version") &&
-           reader.number("schema_version") > 1.5,
-       "schema_version missing or < 2");
-  need(reader.has_string("generated_by"), "generated_by missing");
-  need(reader.has_bool("smoke"), "smoke flag missing");
-  need(reader.has_number("hardware_concurrency") &&
-           reader.number("hardware_concurrency") >= 1.0,
-       "hardware_concurrency missing or < 1");
-
-  std::size_t benches = 0;
-  try {
-    benches = reader.array_size("benchmarks");
-  } catch (const std::exception&) {
-    // handled by the need() below
-  }
-  need(benches >= 5, "benchmarks must hold at least the five core sections");
-  for (std::size_t i = 0; i < benches; ++i) {
-    const std::string p = "benchmarks[" + std::to_string(i) + "]";
-    need(reader.has_string(p + ".name"), "benchmark entry lacks name");
-    for (const char* key : {".warmup_iterations", ".iterations", ".mean_us",
-                            ".p50_us", ".p90_us", ".p99_us", ".min_us",
-                            ".max_us"}) {
-      const std::string full = p + key;
-      need(reader.has_number(full) && std::isfinite(reader.number(full)),
-           (full + " missing or non-finite").c_str());
-    }
-    if (reader.has_number(p + ".p50_us") && reader.has_number(p + ".p99_us"))
-      need(reader.number(p + ".p99_us") >= reader.number(p + ".p50_us"),
-           "p99 below p50");
-  }
-  for (const char* key :
-       {"batch.runs", "batch.workers", "batch.serial_runs_per_sec",
-        "batch.parallel_runs_per_sec"}) {
-    need(reader.has_number(key) && std::isfinite(reader.number(key)) &&
-             reader.number(key) > 0.0,
-         (std::string(key) + " missing or non-positive").c_str());
-  }
-  // The multi-core honesty rules: hardware_concurrency == 1 must publish
-  // speedup as null (a 1-core pool run measures queueing overhead, not
-  // scaling); > 1 must publish a real positive number. batch_scaling must
-  // cover worker counts 1..hardware_concurrency.
-  need(reader.has_bool("batch.speedup_claimed"),
-       "batch.speedup_claimed missing");
-  const bool multi_core = reader.has_number("hardware_concurrency") &&
-                          reader.number("hardware_concurrency") > 1.5;
-  if (multi_core) {
-    need(reader.has_bool("batch.speedup_claimed") &&
-             reader.bool_at("batch.speedup_claimed"),
-         "multi-core run must claim a measured speedup");
-    need(reader.has_number("batch.speedup") &&
-             std::isfinite(reader.number("batch.speedup")) &&
-             reader.number("batch.speedup") > 0.0,
-         "batch.speedup missing or non-positive on a multi-core run");
-  } else {
-    need(reader.has_bool("batch.speedup_claimed") &&
-             !reader.bool_at("batch.speedup_claimed"),
-         "1-core run must not claim a speedup");
-    need(reader.has_null("batch.speedup"),
-         "batch.speedup must be null on a 1-core run");
-  }
-  std::size_t scaling_points = 0;
-  try {
-    scaling_points = reader.array_size("batch_scaling");
-  } catch (const std::exception&) {
-    // handled by the need() below
-  }
-  need(scaling_points >= 1, "batch_scaling must hold at least one point");
-  for (std::size_t i = 0; i < scaling_points; ++i) {
-    const std::string p = "batch_scaling[" + std::to_string(i) + "]";
-    need(reader.has_number(p + ".workers") &&
-             reader.number(p + ".workers") >= 1.0,
-         (p + ".workers missing or < 1").c_str());
-    need(reader.has_number(p + ".runs_per_sec") &&
-             std::isfinite(reader.number(p + ".runs_per_sec")) &&
-             reader.number(p + ".runs_per_sec") > 0.0,
-         (p + ".runs_per_sec missing or non-positive").c_str());
-  }
-  need(reader.has_bool("obs.compiled_in"), "obs.compiled_in missing");
-  for (const char* key :
-       {"obs.mpc_update_p50_us", "obs.mpc_update_observed_p50_us",
-        "obs.registry_overhead_pct", "obs.timer_mpc_update_count",
-        "obs.timer_mpc_update_mean_us", "obs.timer_qp_solve_count",
-        "obs.timer_qp_solve_mean_us"}) {
-    need(reader.has_number(key) && std::isfinite(reader.number(key)),
-         (std::string(key) + " missing or non-finite").c_str());
-  }
-  return violations;
 }
 
 }  // namespace
@@ -645,11 +527,12 @@ int main(int argc, char** argv) {
               oneshot_p50 / cached_p50);
 
   write_report(json_path, sections, batch, obs_report, smoke);
-  const int violations = validate_report(json_path);
-  if (violations != 0) {
+  const bench::Violations violations =
+      bench::check_report_file(json_path, bench::perf_report_violations);
+  if (!violations.empty()) {
     std::fprintf(stderr, "bench_perf: %s failed schema validation\n",
                  json_path.c_str());
-    return violations;
+    return narrow<int>(violations.size());
   }
   std::printf("bench_perf: wrote %s (schema valid)\n", json_path.c_str());
   return 0;

@@ -8,9 +8,9 @@
 // idealized plant step (control/sparse_model.h's SparseLinearPlant; the
 // discrete-event simulator and the dense F both stop being viable orders
 // of magnitude below 10k). Emits machine-readable BENCH_SCALING.json
-// (schema in docs/performance.md), re-read and validated through
-// bench::JsonReader before exiting, so the ctest smoke run is a real gate
-// on the file format.
+// (schema in docs/performance.md), re-read and checked with
+// bench/report_checks.h's scaling_report_violations before exiting, so the
+// ctest smoke run is a real gate on the file format.
 //
 // The parity section closes the loop with both the sharded controller and
 // the central MPC on square-F scenarios (tasks_per_processor = 1, so the
@@ -25,13 +25,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "eucon/eucon.h"
+#include "report_checks.h"
 
 using namespace eucon;
 
@@ -40,7 +40,6 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 using linalg::Vector;
 
-constexpr int kProcessorCounts[] = {16, 128, 1000, 4000, 10000};
 constexpr std::size_t kShardSize = 32;
 
 control::MpcParams scale_params() {
@@ -241,7 +240,7 @@ ParityPoint run_parity(int n, std::size_t periods) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission + schema validation
+// JSON emission
 // ---------------------------------------------------------------------------
 
 std::string json_number(double v) {
@@ -298,105 +297,6 @@ void write_report(const std::string& path,
   EUCON_REQUIRE(out.good(), "failed writing JSON report: " + path);
 }
 
-// Re-reads the emitted report and checks the schema; returns the number of
-// violations (0 = valid). check.sh --scale runs the same checks against
-// the checked-in BENCH_SCALING.json.
-int validate_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "schema: cannot reopen %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  bench::JsonReader reader(buf.str());
-  try {
-    reader.parse();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "schema: %s does not parse: %s\n", path.c_str(),
-                 e.what());
-    return 1;
-  }
-
-  int violations = 0;
-  const auto need = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "schema: %s\n", what.c_str());
-      ++violations;
-    }
-  };
-  need(reader.has_number("schema_version") &&
-           reader.number("schema_version") > 0.5,
-       "schema_version missing or < 1");
-  need(reader.has_string("generated_by"), "generated_by missing");
-  need(reader.has_bool("smoke"), "smoke flag missing");
-  need(reader.has_number("shard_size") && reader.number("shard_size") >= 1.0,
-       "shard_size missing or < 1");
-
-  std::size_t num_points = 0;
-  try {
-    num_points = reader.array_size("points");
-  } catch (const std::exception&) {
-    // handled by the need() below
-  }
-  const std::size_t expected =
-      sizeof(kProcessorCounts) / sizeof(kProcessorCounts[0]);
-  need(num_points == expected,
-       "points must hold every processor count (16..10k)");
-  for (std::size_t i = 0; i < num_points; ++i) {
-    const std::string p = "points[" + std::to_string(i) + "]";
-    if (i < expected)
-      need(reader.has_number(p + ".processors") &&
-               reader.number(p + ".processors") ==
-                   static_cast<double>(kProcessorCounts[i]),
-           p + ".processors must be " + std::to_string(kProcessorCounts[i]));
-    for (const char* key :
-         {".tasks", ".nnz", ".shards", ".max_shard_vars", ".workspace_vars",
-          ".workspace_cons", ".construct_ms", ".periods_timed",
-          ".period_p50_us", ".period_mean_us", ".steady_err_max"}) {
-      const std::string full = p + key;
-      need(reader.has_number(full) && std::isfinite(reader.number(full)),
-           full + " missing or non-finite");
-    }
-    need(reader.has_number(p + ".period_p50_us") &&
-             reader.number(p + ".period_p50_us") > 0.0,
-         p + ".period_p50_us must be positive");
-    need(reader.has_number(p + ".steady_err_max") &&
-             reader.number(p + ".steady_err_max") < 0.02,
-         p + ".steady_err_max must show a settled loop (< 0.02)");
-  }
-
-  std::size_t parity_points = 0;
-  try {
-    parity_points = reader.array_size("parity");
-  } catch (const std::exception&) {
-    // handled by the need() below
-  }
-  need(parity_points >= 2, "parity must cover every n <= 128 scenario");
-  for (std::size_t i = 0; i < parity_points; ++i) {
-    const std::string p = "parity[" + std::to_string(i) + "]";
-    need(reader.has_number(p + ".processors") &&
-             reader.number(p + ".processors") <= 128.0,
-         p + " must be an n <= 128 scenario");
-    need(reader.has_number(p + ".max_rate_gap_rel") &&
-             reader.number(p + ".max_rate_gap_rel") < 0.02,
-         p + ".max_rate_gap_rel must be within tolerance (< 0.02)");
-    need(reader.has_number(p + ".util_err_hier") &&
-             reader.number(p + ".util_err_hier") < 0.01,
-         p + ".util_err_hier must be within tolerance (< 0.01)");
-  }
-
-  // The superlinear-blowup guard: shards are constant-size, so the period
-  // cost must scale roughly with the shard count — 10x processors may not
-  // buy 100x period cost.
-  need(reader.has_number("blowup_10k_vs_1k") &&
-           std::isfinite(reader.number("blowup_10k_vs_1k")) &&
-           reader.number("blowup_10k_vs_1k") > 0.0 &&
-           reader.number("blowup_10k_vs_1k") < 100.0,
-       "blowup_10k_vs_1k missing or >= 100 (superlinear blowup)");
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -426,7 +326,7 @@ int main(int argc, char** argv) {
                        "construct_ms", "period_p50_us", "period_mean_us",
                        "steady_err_max"});
   std::vector<ScalePoint> points;
-  for (const int n : kProcessorCounts)
+  for (const int n : bench::kScalingProcessorCounts)
     points.push_back(run_point(n, settle, timed));
 
   for (const ScalePoint& p : points) {
@@ -465,11 +365,13 @@ int main(int argc, char** argv) {
   }
 
   write_report(json_path, points, parity, blowup, smoke);
-  const int violations = validate_report(json_path);
-  if (violations != 0) {
+  const bench::Violations violations =
+      bench::check_report_file(json_path, bench::scaling_report_violations);
+  if (!violations.empty()) {
     std::fprintf(stderr, "bench_scaling: %s failed schema validation\n",
                  json_path.c_str());
-    return checks.finish("bench_scaling") + violations;
+    return checks.finish("bench_scaling") +
+           narrow<int>(violations.size());
   }
   std::printf("bench_scaling: wrote %s (schema valid)\n", json_path.c_str());
   return checks.finish("bench_scaling");

@@ -11,22 +11,24 @@
 //   --smoke      a two-arm scenario sized for the ctest gate (~1s)
 //   --json PATH  where to write the JSON report (default BENCH_STEERING.json)
 //
-// After writing the report the harness re-reads it through the shared
-// JsonReader and validates schema + internal consistency (the published
-// savings must equal the replication ratio, winners_match must equal the
-// actual string comparison), so the ctest smoke run is a real gate on the
-// file format. Exit code = failed shape checks + schema violations.
+// After writing the report the harness re-reads it and applies
+// bench/report_checks.h's steering_report_violations: schema, internal
+// consistency (the published savings must equal the replication ratio,
+// winners_match must equal the actual string comparison) and the published
+// claims, the same rules the checked-in BENCH_STEERING.json is held to. So
+// the ctest smoke run is a real gate on the file format. Exit code = failed
+// shape checks + schema violations.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "eucon/eucon.h"
+#include "report_checks.h"
 
 using namespace eucon;
 
@@ -138,102 +140,6 @@ void write_report(const std::string& path, bool smoke,
   EUCON_REQUIRE(out.good(), "failed writing JSON report: " + path);
 }
 
-// Re-reads the emitted report and checks schema + internal consistency;
-// returns the number of violations (0 = valid).
-int validate_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "schema: cannot reopen %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  bench::JsonReader reader(buf.str());
-  try {
-    reader.parse();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "schema: %s does not parse: %s\n", path.c_str(),
-                 e.what());
-    return 1;
-  }
-
-  int violations = 0;
-  const auto need = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "schema: %s\n", what.c_str());
-      ++violations;
-    }
-  };
-  need(reader.has_number("schema_version") &&
-           reader.number("schema_version") >= 1.0,
-       "schema_version missing or < 1");
-  need(reader.has_string("generated_by") &&
-           reader.string_at("generated_by") == "bench_steering",
-       "generated_by missing or wrong");
-  need(reader.has_bool("smoke"), "smoke flag missing");
-  need(reader.has_string("scenario"), "scenario missing");
-  need(reader.has_number("delta") && reader.number("delta") > 0.0 &&
-           reader.number("delta") < 1.0,
-       "delta missing or outside (0, 1)");
-  need(reader.has_string("bound"), "bound missing");
-  need(reader.has_number("savings_floor"), "savings_floor missing");
-  need(reader.has_bool("winners_match"), "winners_match missing");
-  for (const char* side : {"steering", "exhaustive"}) {
-    const std::string p = side;
-    need(reader.has_string(p + ".winner"), p + ".winner missing");
-    need(reader.has_bool(p + ".decided"), p + ".decided missing");
-    need(reader.has_number(p + ".replications") &&
-             reader.number(p + ".replications") >= 1.0,
-         p + ".replications missing or < 1");
-    need(reader.has_number(p + ".wall_seconds") &&
-             reader.number(p + ".wall_seconds") >= 0.0,
-         p + ".wall_seconds missing or negative");
-    std::size_t arms = 0;
-    try {
-      arms = reader.array_size(p + ".arms");
-    } catch (const std::exception&) {
-      // handled by the need() below
-    }
-    need(arms >= 2, p + ".arms must hold at least two controllers");
-    for (std::size_t i = 0; i < arms; ++i) {
-      const std::string a = p + ".arms[" + std::to_string(i) + "]";
-      need(reader.has_string(a + ".controller"), a + ".controller missing");
-      need(reader.has_number(a + ".mean") &&
-               reader.number(a + ".mean") >= 0.0 &&
-               reader.number(a + ".mean") <= 1.0,
-           a + ".mean missing or outside [0, 1]");
-      need(reader.has_number(a + ".pulls") &&
-               reader.number(a + ".pulls") >= 1.0,
-           a + ".pulls missing or < 1");
-      need(reader.has_number(a + ".eliminated_round"),
-           a + ".eliminated_round missing");
-    }
-  }
-  // Internal consistency: the published numbers must agree with each other,
-  // not just be well-typed.
-  if (reader.has_number("steering.replications") &&
-      reader.has_number("exhaustive.replications") &&
-      reader.has_number("steering.replication_savings")) {
-    // %.9g serialization rounds the ratio; compare at matching precision.
-    const double ratio = reader.number("exhaustive.replications") /
-                         reader.number("steering.replications");
-    need(std::fabs(ratio - reader.number("steering.replication_savings")) <
-             1e-6 * ratio,
-         "replication_savings does not equal the replication ratio");
-  } else {
-    need(false, "steering.replication_savings missing");
-  }
-  if (reader.has_bool("winners_match") &&
-      reader.has_string("steering.winner") &&
-      reader.has_string("exhaustive.winner")) {
-    need(reader.bool_at("winners_match") ==
-             (reader.string_at("steering.winner") ==
-              reader.string_at("exhaustive.winner")),
-         "winners_match disagrees with the winner strings");
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -303,7 +209,9 @@ int main(int argc, char** argv) {
                 "steer.* registry counters agree with the report");
 
   write_report(json_path, smoke, options, steered, grid);
-  const int violations = validate_report(json_path);
+  const int violations = narrow<int>(
+      bench::check_report_file(json_path, bench::steering_report_violations)
+          .size());
   if (violations != 0)
     std::fprintf(stderr, "bench_steering: %s failed schema validation\n",
                  json_path.c_str());

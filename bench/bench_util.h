@@ -2,21 +2,13 @@
 //
 // Every bench prints (a) the series the paper plots, as CSV on stdout, and
 // (b) a PASS/FAIL summary of *shape* checks — the qualitative claims the
-// paper makes about that figure. Exit code = number of failed checks.
-// JsonReader is the shared schema-validation half: the report-emitting
-// benches (bench_perf, bench_steering) re-read their own JSON output
-// through it before exiting, so the ctest smoke runs are real gates on the
-// file format.
+// paper makes about that figure. Exit code = number of failed checks. The
+// report-emitting benches check their JSON output with report_checks.h.
 #pragma once
 
-#include <cctype>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
-
-#include "common/check.h"
 
 namespace eucon::bench {
 
@@ -57,187 +49,5 @@ inline void print_header(const std::vector<std::string>& cols) {
   }
   std::printf("\n");
 }
-
-// Minimal recursive-descent JSON reader — just enough structure to verify
-// a bench report schema for real (the ctest smoke gates), not a general
-// parser.
-class JsonReader {
- public:
-  explicit JsonReader(std::string text) : text_(std::move(text)) {}
-
-  // Parses the whole input as one object and returns the flattened
-  // key paths ("batch.speedup", "benchmarks[0].p50_us", ...) that hold a
-  // number, plus object/array shape counts.
-  void parse() {
-    skip_ws();
-    parse_value("");
-    skip_ws();
-    EUCON_REQUIRE(pos_ == text_.size(), "trailing bytes after JSON document");
-  }
-
-  bool has_number(const std::string& path) const {
-    return numbers_.count(path) > 0;
-  }
-  double number(const std::string& path) const {
-    const auto it = numbers_.find(path);
-    EUCON_REQUIRE(it != numbers_.end(), "missing numeric key: " + path);
-    return it->second;
-  }
-  bool has_string(const std::string& path) const {
-    return strings_.count(path) > 0;
-  }
-  std::string string_at(const std::string& path) const {
-    const auto it = strings_.find(path);
-    EUCON_REQUIRE(it != strings_.end(), "missing string key: " + path);
-    return it->second;
-  }
-  bool has_bool(const std::string& path) const {
-    return bools_.count(path) > 0;
-  }
-  bool bool_at(const std::string& path) const {
-    const auto it = bools_.find(path);
-    EUCON_REQUIRE(it != bools_.end(), "missing bool key: " + path);
-    return it->second;
-  }
-  bool has_null(const std::string& path) const {
-    return nulls_.count(path) > 0;
-  }
-  std::size_t array_size(const std::string& path) const {
-    const auto it = arrays_.find(path);
-    EUCON_REQUIRE(it != arrays_.end(), "missing array key: " + path);
-    return it->second;
-  }
-
- private:
-  void parse_value(const std::string& path) {
-    skip_ws();
-    EUCON_REQUIRE(pos_ < text_.size(), "unexpected end of JSON");
-    const char c = text_[pos_];
-    if (c == '{') {
-      parse_object(path);
-    } else if (c == '[') {
-      parse_array(path);
-    } else if (c == '"') {
-      strings_[path] = parse_string();
-    } else if (c == 't' || c == 'f') {
-      parse_bool(path);
-    } else if (c == 'n') {
-      EUCON_REQUIRE(text_.compare(pos_, 4, "null") == 0,
-                    "invalid JSON literal at byte " + std::to_string(pos_));
-      nulls_.insert(path);
-      pos_ += 4;
-    } else {
-      parse_number(path);
-    }
-  }
-
-  void parse_object(const std::string& path) {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      parse_value(path.empty() ? key : path + "." + key);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void parse_array(const std::string& path) {
-    expect('[');
-    skip_ws();
-    std::size_t count = 0;
-    if (peek() == ']') {
-      ++pos_;
-      arrays_[path] = 0;
-      return;
-    }
-    while (true) {
-      parse_value(path + "[" + std::to_string(count) + "]");
-      ++count;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      arrays_[path] = count;
-      return;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      EUCON_REQUIRE(text_[pos_] != '\\',
-                    "escape sequences not used by this schema");
-      s += text_[pos_++];
-    }
-    expect('"');
-    return s;
-  }
-
-  void parse_bool(const std::string& path) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      bools_[path] = true;
-      pos_ += 4;
-      return;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      bools_[path] = false;
-      pos_ += 5;
-      return;
-    }
-    EUCON_FAIL("invalid JSON literal at byte " + std::to_string(pos_));
-  }
-
-  void parse_number(const std::string& path) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    EUCON_REQUIRE(pos_ > start,
-                  "invalid JSON value at byte " + std::to_string(start));
-    numbers_[path] = std::stod(text_.substr(start, pos_ - start));
-  }
-
-  char peek() const {
-    EUCON_REQUIRE(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    EUCON_REQUIRE(pos_ < text_.size() && text_[pos_] == c,
-                  std::string("expected '") + c + "' at byte " +
-                      std::to_string(pos_));
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::map<std::string, double> numbers_;
-  std::map<std::string, std::string> strings_;
-  std::map<std::string, bool> bools_;
-  std::set<std::string> nulls_;
-  std::map<std::string, std::size_t> arrays_;
-};
 
 }  // namespace eucon::bench

@@ -38,8 +38,7 @@ struct RuleInfo {
 };
 
 // All rules, in reporting order. The registry is the single source of
-// truth: --list-rules prints it, suppression and baseline validation check
-// names against it.
+// truth: --list-rules prints it, and suppressions are checked against it.
 const std::vector<RuleInfo>& rule_registry();
 bool known_rule(const std::string& name);
 

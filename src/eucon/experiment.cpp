@@ -220,29 +220,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // other controller. Diagnostics come from controller->diagnostics().
   auto* const central = dynamic_cast<control::MpcController*>(controller.get());
 
-  // Observability taps (docs/observability.md). `metrics` and `sink` are
-  // per-run views onto caller-owned objects; when EUCON_OBS is compiled out
-  // the whole trace-assembly path below folds away and OBS_TIMED is a no-op.
+  // Observability taps (docs/observability.md): per-run views onto
+  // caller-owned objects, each null when the caller attached none.
   obs::Registry* const metrics = config.metrics;
   if (central != nullptr) central->set_metrics_registry(metrics);
-  obs::Sink* sink = nullptr;
+  obs::Sink* const sink = config.trace_sink;
   std::vector<double> prev_rates;     // for Δr in the trace
   std::uint64_t prev_stalls = 0;      // for per-period stall deltas
-  if constexpr (obs::kEnabled) {
-    sink = config.trace_sink;
-    if (sink != nullptr) {
-      obs::RunInfo info;
-      info.name = config.run_name;
-      info.controller = controller_kind_name(config.controller);
-      info.seed = config.sim.seed;
-      info.num_periods = config.num_periods;
-      info.num_processors =
-          static_cast<std::size_t>(config.spec.num_processors);
-      info.num_tasks = config.spec.num_tasks();
-      info.set_points = model.b.data();
-      sink->begin_run(info);
-      prev_rates = sim.current_rates();
-    }
+  if (sink != nullptr) {
+    obs::RunInfo info;
+    info.name = config.run_name;
+    info.controller = controller_kind_name(config.controller);
+    info.seed = config.sim.seed;
+    info.num_periods = config.num_periods;
+    info.num_processors = static_cast<std::size_t>(config.spec.num_processors);
+    info.num_tasks = config.spec.num_tasks();
+    info.set_points = model.b.data();
+    sink->begin_run(info);
+    prev_rates = sim.current_rates();
   }
 
   for (int k = 1; k <= config.num_periods; ++k) {
@@ -381,44 +376,42 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         std::count(enabled.begin(), enabled.end(), true));
     result.trace.push_back(std::move(rec));
 
-    if constexpr (obs::kEnabled) {
-      if (sink != nullptr) {
-        obs::PeriodRecord prec;
-        prec.k = k;
-        prec.time_units = sim.now_units();
-        prec.u = u;
-        prec.u_seen = u_seen.data();
-        prec.rates = applied.data();
-        prec.delta_r.resize(prec.rates.size());
-        for (std::size_t j = 0; j < prec.rates.size(); ++j)
-          prec.delta_r[j] = prec.rates[j] - prev_rates[j];
-        prev_rates = prec.rates;
-        prec.enabled_tasks = result.trace.back().enabled_tasks;
-        prec.lost_reports = lanes.last_period_losses();
-        const std::uint64_t stalls = sim.release_guard_stalls();
-        prec.release_guard_stalls = stalls - prev_stalls;
-        prev_stalls = stalls;
-        if (const control::Diagnostics* diag = controller->diagnostics()) {
-          prec.qp_iterations = diag->iterations;
-          prec.qp_fast_path = diag->fast_path;
-          prec.qp_fallback = diag->fallback;
-          prec.qp_status = qp_status_name(diag->status);
-          prec.qp_active_set.assign(diag->active.begin(), diag->active.end());
-        }
-        if (faults_active) {
-          prec.faults_active = true;
-          prec.fault_mode = blackout ? "blackout" : "normal";
-          prec.forced_losses =
-              injector != nullptr ? injector->forced_losses_this_period() : 0;
-          prec.actuation_lost = act_lost_hits;
-          prec.overload_injections = overload_hits;
-          prec.tracked_processors = static_cast<int>(
-              std::count(tracked.begin(), tracked.end(), true));
-          prec.staleness.assign(lanes.staleness().begin(),
-                                lanes.staleness().end());
-        }
-        sink->period(prec);
+    if (sink != nullptr) {
+      obs::PeriodRecord prec;
+      prec.k = k;
+      prec.time_units = sim.now_units();
+      prec.u = u;
+      prec.u_seen = u_seen.data();
+      prec.rates = applied.data();
+      prec.delta_r.resize(prec.rates.size());
+      for (std::size_t j = 0; j < prec.rates.size(); ++j)
+        prec.delta_r[j] = prec.rates[j] - prev_rates[j];
+      prev_rates = prec.rates;
+      prec.enabled_tasks = result.trace.back().enabled_tasks;
+      prec.lost_reports = lanes.last_period_losses();
+      const std::uint64_t stalls = sim.release_guard_stalls();
+      prec.release_guard_stalls = stalls - prev_stalls;
+      prev_stalls = stalls;
+      if (const control::Diagnostics* diag = controller->diagnostics()) {
+        prec.qp_iterations = diag->iterations;
+        prec.qp_fast_path = diag->fast_path;
+        prec.qp_fallback = diag->fallback;
+        prec.qp_status = qp_status_name(diag->status);
+        prec.qp_active_set.assign(diag->active.begin(), diag->active.end());
       }
+      if (faults_active) {
+        prec.faults_active = true;
+        prec.fault_mode = blackout ? "blackout" : "normal";
+        prec.forced_losses =
+            injector != nullptr ? injector->forced_losses_this_period() : 0;
+        prec.actuation_lost = act_lost_hits;
+        prec.overload_injections = overload_hits;
+        prec.tracked_processors = static_cast<int>(
+            std::count(tracked.begin(), tracked.end(), true));
+        prec.staleness.assign(lanes.staleness().begin(),
+                              lanes.staleness().end());
+      }
+      sink->period(prec);
     }
   }
 
@@ -443,41 +436,38 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.admission_readmissions = governor->readmissions();
   }
 
-  if constexpr (obs::kEnabled) {
-    if (sink != nullptr) sink->end_run(summary);
-    if (metrics != nullptr) {
-      metrics->add("experiment.runs");
-      metrics->add("experiment.periods", summary.periods);
-      metrics->add("experiment.lost_reports", summary.lost_reports);
-      metrics->add("sim.release_guard_stalls", summary.release_guard_stalls);
-      metrics->add("sim.jobs_released", summary.jobs_released);
-      std::uint64_t e2e_misses = 0;
-      const rts::DeadlineStats& ds = sim.deadline_stats();
-      for (std::size_t t = 0; t < ds.num_tasks(); ++t)
-        e2e_misses += ds.task(t).e2e_misses;
-      metrics->add("sim.e2e_deadline_misses", e2e_misses);
-      if (diag != nullptr) {
-        metrics->add("mpc.updates", summary.controller_updates);
-        metrics->add("mpc.fallbacks", summary.controller_fallbacks);
-        metrics->add("mpc.qp_iterations", summary.qp_iterations_total);
-        metrics->add("mpc.fast_path_hits", summary.qp_fast_path_hits);
-      }
-      if (governor != nullptr) {
-        metrics->add("admission.suspensions", governor->suspensions());
-        metrics->add("admission.readmissions", governor->readmissions());
-      }
-      metrics->add("reallocation.moves", result.reallocations.size());
-      if (faults_active) {
-        metrics->add("faults.forced_losses", summary.forced_losses);
-        metrics->add("faults.actuation_lost", summary.actuation_lost);
-        metrics->add("faults.overload_injections",
-                     summary.overload_injections);
-        metrics->add("faults.blackout_periods", summary.blackout_periods);
-        metrics->add("faults.stale_drops", summary.stale_drops);
-        metrics->add("faults.stale_restores", summary.stale_restores);
-        metrics->set_gauge("faults.max_staleness",
-                           static_cast<double>(summary.max_staleness));
-      }
+  if (sink != nullptr) sink->end_run(summary);
+  if (metrics != nullptr) {
+    metrics->add("experiment.runs");
+    metrics->add("experiment.periods", summary.periods);
+    metrics->add("experiment.lost_reports", summary.lost_reports);
+    metrics->add("sim.release_guard_stalls", summary.release_guard_stalls);
+    metrics->add("sim.jobs_released", summary.jobs_released);
+    std::uint64_t e2e_misses = 0;
+    const rts::DeadlineStats& ds = sim.deadline_stats();
+    for (std::size_t t = 0; t < ds.num_tasks(); ++t)
+      e2e_misses += ds.task(t).e2e_misses;
+    metrics->add("sim.e2e_deadline_misses", e2e_misses);
+    if (diag != nullptr) {
+      metrics->add("mpc.updates", summary.controller_updates);
+      metrics->add("mpc.fallbacks", summary.controller_fallbacks);
+      metrics->add("mpc.qp_iterations", summary.qp_iterations_total);
+      metrics->add("mpc.fast_path_hits", summary.qp_fast_path_hits);
+    }
+    if (governor != nullptr) {
+      metrics->add("admission.suspensions", governor->suspensions());
+      metrics->add("admission.readmissions", governor->readmissions());
+    }
+    metrics->add("reallocation.moves", result.reallocations.size());
+    if (faults_active) {
+      metrics->add("faults.forced_losses", summary.forced_losses);
+      metrics->add("faults.actuation_lost", summary.actuation_lost);
+      metrics->add("faults.overload_injections", summary.overload_injections);
+      metrics->add("faults.blackout_periods", summary.blackout_periods);
+      metrics->add("faults.stale_drops", summary.stale_drops);
+      metrics->add("faults.stale_restores", summary.stale_restores);
+      metrics->set_gauge("faults.max_staleness",
+                         static_cast<double>(summary.max_staleness));
     }
   }
   return result;
@@ -532,18 +522,16 @@ std::vector<ExperimentResult> run_batch(const std::vector<ExperimentSpec>& specs
   // so file assignment — and therefore every byte of every trace — depends
   // only on (run index, spec name), never on worker scheduling.
   std::vector<std::unique_ptr<obs::FileSink>> trace_sinks;
-  if constexpr (obs::kEnabled) {
-    if (!options.trace_dir.empty()) {
-      std::filesystem::create_directories(options.trace_dir);
-      trace_sinks.resize(configs.size());
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (configs[i].trace_sink != nullptr) continue;  // caller's sink wins
-        const std::filesystem::path path =
-            std::filesystem::path(options.trace_dir) /
-            batch_trace_file_name(i, specs[i].name);
-        trace_sinks[i] = std::make_unique<obs::FileSink>(path.string());
-        configs[i].trace_sink = trace_sinks[i].get();
-      }
+  if (!options.trace_dir.empty()) {
+    std::filesystem::create_directories(options.trace_dir);
+    trace_sinks.resize(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      if (configs[i].trace_sink != nullptr) continue;  // caller's sink wins
+      const std::filesystem::path path =
+          std::filesystem::path(options.trace_dir) /
+          batch_trace_file_name(i, specs[i].name);
+      trace_sinks[i] = std::make_unique<obs::FileSink>(path.string());
+      configs[i].trace_sink = trace_sinks[i].get();
     }
   }
 

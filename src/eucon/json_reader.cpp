@@ -75,6 +75,11 @@ class Reader {
       v.boolean = false;
       return v;
     }
+    if (consume_literal("null")) {
+      Value v;
+      v.kind = Value::Kind::kNull;
+      return v;
+    }
     return number();
   }
 
@@ -167,6 +172,13 @@ class Reader {
 };
 
 }  // namespace
+
+const Value* member(const Value& object, std::string_view key) {
+  if (object.kind != Value::Kind::kObject) return nullptr;
+  for (const auto& [name, value] : object.members)
+    if (name == key) return &value;
+  return nullptr;
+}
 
 Value Schema::parse(const std::string& text) const {
   return Reader(text, context_).parse();

@@ -1,19 +1,22 @@
-// Internal: the minimal JSON reader behind the fault-plan and scenario
-// parsers. A recursive-descent parser plus typed accessors, dependency-free
-// so the CLI needs no external JSON library. Not part of the public API
+// The repository's one JSON reader. Its three users are the fault-plan
+// parser, the scenario parser, and the bench report checks
+// (bench/report_checks.h), which read the BENCH_*.json files back. A
+// recursive-descent parser plus typed accessors, dependency-free so the
+// CLI needs no external JSON library. Not part of the public API
 // (eucon/eucon.h does not export it).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace eucon::json {
 
 struct Value {
-  enum class Kind { kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNumber;
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
   std::string number_text;  // raw token, for byte-faithful re-rendering
@@ -21,6 +24,10 @@ struct Value {
   std::vector<Value> items;                            // kArray
   std::vector<std::pair<std::string, Value>> members;  // kObject
 };
+
+// The member `key` of `object`, or null when `object` is not an object or
+// has no such key.
+const Value* member(const Value& object, std::string_view key);
 
 // One parser's view of its documents. `context` prefixes every error:
 // syntax errors read "<context> JSON: <what> at byte <offset>", schema

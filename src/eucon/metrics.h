@@ -13,6 +13,14 @@ namespace eucon::metrics {
 // [100Ts, 300Ts], i.e. trace indices [100, 300) with 1-based k.
 inline constexpr std::size_t kSteadyStateFrom = 100;
 
+// Where the steady-state window of a `periods`-long trace starts: the
+// paper's kSteadyStateFrom when the trace is longer than that, else a third
+// of the trace. Every summary (eucon_sim --summary and --replicas, the
+// report files, the steering score) uses this one rule.
+constexpr std::size_t steady_state_from(std::size_t periods) {
+  return periods > kSteadyStateFrom ? kSteadyStateFrom : periods / 3;
+}
+
 // Mean/σ of a processor's utilization over trace window [from, to) (k
 // indices, 1-based; to = 0 means end of trace).
 RunningStats utilization_stats(const ExperimentResult& result,

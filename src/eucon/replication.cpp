@@ -8,10 +8,13 @@
 namespace eucon {
 
 ReplicatedResult run_replicated(const ExperimentConfig& config, int replicas,
-                                std::uint64_t seed0, std::size_t from,
+                                std::uint64_t seed0,
+                                std::optional<std::size_t> from_period,
                                 std::size_t to) {
   EUCON_REQUIRE(valid_replica_count(replicas),
                 "replication needs at least two runs");
+  const std::size_t from = from_period.value_or(metrics::steady_state_from(
+      static_cast<std::size_t>(config.num_periods)));
   const std::size_t n = static_cast<std::size_t>(config.spec.num_processors);
 
   std::vector<RunningStats> means(n), sds(n);

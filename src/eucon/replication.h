@@ -7,6 +7,7 @@
 // the scaling bench use it for exactly that).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "eucon/experiment.h"
@@ -40,10 +41,11 @@ struct ReplicatedResult {
 inline bool valid_replica_count(int replicas) { return replicas >= 2; }
 
 // Runs `replicas` copies of `config` with seeds seed0, seed0+1, … and
-// aggregates the steady-state window [from, to) (to = 0 -> end of trace).
+// aggregates the steady-state window [from, to) (to = 0 -> end of trace;
+// no `from` -> metrics::steady_state_from(config.num_periods)).
 ReplicatedResult run_replicated(const ExperimentConfig& config, int replicas,
                                 std::uint64_t seed0 = 1,
-                                std::size_t from = metrics::kSteadyStateFrom,
+                                std::optional<std::size_t> from = std::nullopt,
                                 std::size_t to = 0);
 
 }  // namespace eucon

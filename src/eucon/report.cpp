@@ -47,11 +47,8 @@ void write_summary(const ExperimentResult& result, std::ostream& out,
     out << "no samples recorded; per-processor statistics skipped\n";
     return;
   }
-  if (steady_from == 0) {
-    steady_from = result.trace.size() > metrics::kSteadyStateFrom * 2
-                      ? metrics::kSteadyStateFrom
-                      : result.trace.size() / 3;
-  }
+  if (steady_from == 0)
+    steady_from = metrics::steady_state_from(result.trace.size());
   EUCON_REQUIRE(steady_from < result.trace.size(),
                 "steady-state window starts past the end of the trace");
   out << "periods: " << result.trace.size() << "\n";

@@ -177,25 +177,27 @@ ExperimentConfig instance_config(const Scenario& sc, std::size_t instance,
   return cfg;
 }
 
+ExperimentSpec pull_spec(const Scenario& sc, ControllerKind controller,
+                         std::size_t pull_index) {
+  const std::size_t instance = pull_instance(sc, pull_index);
+  ExperimentSpec spec;
+  spec.name = sc.name + "/" + controller_kind_name(controller) + "/" +
+              instance_label(sc, instance) + "#" +
+              std::to_string((pull_index - 1) / sc.num_instances());
+  spec.config = instance_config(sc, instance, controller,
+                                pull_seed(sc.seed, pull_index));
+  return spec;
+}
+
 std::vector<ExperimentSpec> expand(const Scenario& sc) {
   sc.validate();
-  const std::size_t instances = sc.num_instances();
   const std::size_t pulls =
-      instances * static_cast<std::size_t>(sc.replicas);
+      sc.num_instances() * static_cast<std::size_t>(sc.replicas);
   std::vector<ExperimentSpec> specs;
   specs.reserve(sc.controllers.size() * pulls);
-  for (const ControllerKind controller : sc.controllers) {
-    for (std::size_t t = 1; t <= pulls; ++t) {
-      const std::size_t instance = pull_instance(sc, t);
-      ExperimentSpec spec;
-      spec.name = sc.name + "/" + controller_kind_name(controller) + "/" +
-                  instance_label(sc, instance) + "#" +
-                  std::to_string((t - 1) / instances);
-      spec.config =
-          instance_config(sc, instance, controller, pull_seed(sc.seed, t));
-      specs.push_back(std::move(spec));
-    }
-  }
+  for (const ControllerKind controller : sc.controllers)
+    for (std::size_t t = 1; t <= pulls; ++t)
+      specs.push_back(pull_spec(sc, controller, t));
   return specs;
 }
 
@@ -257,6 +259,9 @@ std::vector<double> as_number_array(const json::Value& v,
 // the bytes the scenario file carried.
 void render_json(const json::Value& v, std::string& out) {
   switch (v.kind) {
+    case json::Value::Kind::kNull:
+      out += "null";
+      return;
     case json::Value::Kind::kBool:
       out += v.boolean ? "true" : "false";
       return;

@@ -105,10 +105,16 @@ ExperimentConfig instance_config(const Scenario& sc, std::size_t instance,
                                  ControllerKind controller,
                                  std::uint64_t seed);
 
-// Expands the fixed grid: for every controller, pulls 1..instances*replicas
-// in pull order (instance cycling + pull_seed), so an exhaustive run is
-// exactly the never-eliminating steering schedule. Spec names encode
-// "<scenario>/<controller>/<instance label>#<replica>".
+// Pull `pull_index` (1-based) of `controller`: the instance pull_instance
+// picks, under pull_seed's seed, named
+// "<scenario>/<controller>/<instance label>#<replica>". The one spelling of
+// a pull that expand and the steering loop share.
+ExperimentSpec pull_spec(const Scenario& sc, ControllerKind controller,
+                         std::size_t pull_index);
+
+// Expands the fixed grid: for every controller, pull_spec for pulls
+// 1..instances*replicas, so an exhaustive run is exactly the
+// never-eliminating steering schedule.
 std::vector<ExperimentSpec> expand(const Scenario& sc);
 
 }  // namespace eucon::scenario

@@ -240,11 +240,8 @@ double SuccessiveElimination::radius_for(const Arm& arm) const {
 
 double run_score(const ExperimentResult& result) {
   if (result.trace.empty() || result.set_points.size() == 0) return 0.0;
-  // Steady-state window: skip the transient, matching the eucon_sim summary
-  // (full kSteadyStateFrom warm-up when the run is long enough).
-  const std::size_t from = result.trace.size() > metrics::kSteadyStateFrom
-                               ? metrics::kSteadyStateFrom
-                               : result.trace.size() / 3;
+  // Steady-state window: skip the transient, as every summary does.
+  const std::size_t from = metrics::steady_state_from(result.trace.size());
   double deviation = 0.0;
   for (std::size_t p = 0; p < result.set_points.size(); ++p) {
     const RunningStats s = metrics::utilization_stats(result, p, from);
@@ -339,16 +336,7 @@ SteeringReport run_steering(const scenario::Scenario& sc,
       if (!se.active(arm)) continue;
       for (std::size_t j = 0; j < reps_this; ++j) {
         const std::size_t t = pulls_done + j + 1;  // 1-based pull index
-        const std::size_t instance = scenario::pull_instance(sc, t);
-        ExperimentSpec spec;
-        spec.name = sc.name + "/" +
-                    controller_kind_name(sc.controllers[arm]) + "/" +
-                    scenario::instance_label(sc, instance) + "#" +
-                    std::to_string((t - 1) / instances);
-        spec.config = scenario::instance_config(
-            sc, instance, sc.controllers[arm],
-            scenario::pull_seed(sc.seed, t));
-        specs.push_back(std::move(spec));
+        specs.push_back(scenario::pull_spec(sc, sc.controllers[arm], t));
         spec_arm.push_back(arm);
       }
     }

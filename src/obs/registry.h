@@ -15,8 +15,7 @@
 //
 // Cost model: every operation is one mutex acquisition plus one map lookup —
 // fine at per-sampling-period granularity, and exactly zero when the caller
-// holds no Registry (every instrumentation site is behind a null check, and
-// the OBS_TIMED macro compiles to nothing under -DEUCON_OBS=OFF).
+// holds no Registry (every instrumentation site is behind a null check).
 #pragma once
 
 #include <chrono>
@@ -29,15 +28,6 @@
 #include "common/mutex.h"
 
 namespace eucon::obs {
-
-// True when the observability layer is compiled in (the default). With
-// cmake -DEUCON_OBS=OFF every emission site is discarded at compile time;
-// tests that need traces skip themselves via this flag.
-#if defined(EUCON_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 // Aggregate of the duration samples recorded under one timer name.
 struct TimerStats {
@@ -155,14 +145,9 @@ class ScopedTimer {
 }  // namespace eucon::obs
 
 // Scoped-timer instrumentation point. `registry` is an obs::Registry*
-// (null = disabled); `name` a string literal. Compiles to nothing when the
-// observability layer is configured out.
-#if defined(EUCON_OBS_DISABLED)
-#define OBS_TIMED(registry, name) ((void)0)
-#else
+// (null = disabled); `name` a string literal.
 #define OBS_TIMED_CONCAT2(a, b) a##b
 #define OBS_TIMED_CONCAT(a, b) OBS_TIMED_CONCAT2(a, b)
 #define OBS_TIMED(registry, name)                                     \
   const ::eucon::obs::ScopedTimer OBS_TIMED_CONCAT(obs_scoped_timer_, \
                                                    __LINE__)((registry), (name))
-#endif

@@ -114,7 +114,7 @@ TEST(DegradationTest, WatchdogEngagesAndRecovers) {
 
   std::ostringstream out;
   obs::JsonlSink sink(out);
-  if (obs::kEnabled) cfg.trace_sink = &sink;
+  cfg.trace_sink = &sink;
   const ExperimentResult res = run_experiment(cfg);
 
   // Staleness hits the limit at k = 11 (second consecutive loss), so the
@@ -126,14 +126,12 @@ TEST(DegradationTest, WatchdogEngagesAndRecovers) {
   EXPECT_EQ(res.summary.forced_losses, 5u);
   EXPECT_EQ(res.summary.blackout_periods, 0u);
 
-  if (obs::kEnabled) {
-    int dropped_periods = 0;
-    std::istringstream lines(out.str());
-    std::string line;
-    while (std::getline(lines, line))
-      if (line.find("\"tracked\":1") != std::string::npos) ++dropped_periods;
-    EXPECT_EQ(dropped_periods, 4);
-  }
+  int dropped_periods = 0;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.find("\"tracked\":1") != std::string::npos) ++dropped_periods;
+  EXPECT_EQ(dropped_periods, 4);
 }
 
 TEST(DegradationTest, DegradeRequiresEuconController) {
@@ -205,7 +203,6 @@ std::uint64_t extract_u64(const std::string& line, const std::string& key) {
 }
 
 TEST(DegradationTest, CountersMatchTraceDerivedTotals) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   ExperimentConfig cfg = demo_config();
   cfg.degrade.policy = faults::DegradePolicy::kHoldRates;
   cfg.degrade.stale_limit = 3;
@@ -312,7 +309,6 @@ std::string read_file(const std::filesystem::path& path) {
 }
 
 TEST(DegradationTest, FaultedBatchSerialAndPooledAreByteIdentical) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const std::vector<ExperimentSpec> specs = faulted_batch_specs();
   const std::filesystem::path base =
       std::filesystem::path(::testing::TempDir()) / "eucon_fault_det";

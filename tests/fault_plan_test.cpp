@@ -79,6 +79,16 @@ TEST(FaultPlanTest, MalformedJsonRejected) {
   EXPECT_THROW(parse_fault_plan(R"({"seed": nan})"), std::invalid_argument);
 }
 
+TEST(FaultPlanTest, NullValuesRejected) {
+  // The reader parses null; the plan's typed accessors still refuse it.
+  EXPECT_THROW(parse_fault_plan(R"({"seed": null})"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan(R"({"lane_outages": null})"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      parse_fault_plan(R"({"controller_blackouts": [{"start": null}]})"),
+      std::invalid_argument);
+}
+
 TEST(FaultPlanTest, ValidateRejectsOutOfRange) {
   FaultPlan plan;
   plan.lane_loss.p_enter = 1.5;

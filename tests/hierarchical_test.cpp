@@ -128,7 +128,6 @@ TEST(HierarchicalTest, SingleShardReproducesCentralMpcExactly) {
 // run summary and the mpc.* counters. MEDIUM with an etf step from 0.5 to
 // 3.0 at k = 100 takes both through fast paths, active rows and fallbacks.
 TEST(HierarchicalTest, SingleShardReportsTheCentralDiagnostics) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const ControllerKind kinds[] = {ControllerKind::kEucon,
                                   ControllerKind::kHierarchical};
   obs::MemorySink sinks[2];

@@ -1,8 +1,7 @@
-// Unit tests for the eucon_lint rule engine and output layer
-// (src/analysis/rules.h, src/analysis/output.h): one positive and one
-// negative case per concurrency rule, suppression behavior, the JSON
-// schema, and the baseline round-trip. Sources are linted in memory via
-// lint_source — no subprocess, no temp files.
+// Unit tests for the eucon_lint rule engine (src/analysis/rules.h): one
+// positive and one negative case per concurrency rule, and suppression
+// behavior. Sources are linted in memory via lint_source — no subprocess,
+// no temp files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -212,85 +211,6 @@ TEST(SuppressionTest, UnknownRuleNameIsItselfAFinding) {
       "a.cpp", "int x;  // eucon-lint: allow(not-a-rule)\n");
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "unknown-suppression");
-}
-
-// ---------------------------------------------------------------------------
-// JSON output
-// ---------------------------------------------------------------------------
-
-TEST(JsonOutputTest, SchemaFieldsPresentAndEscaped) {
-  const std::vector<ea::Finding> findings{
-      {"dir/a \"quoted\".cpp", 3, 7, "raw-throw", "line1\nline2"}};
-  const std::string json = ea::render_json(findings, 2);
-  EXPECT_NE(json.find("\"version\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"baseline_suppressed\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"file\": \"dir/a \\\"quoted\\\".cpp\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"col\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"rule\": \"raw-throw\""), std::string::npos);
-  EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
-}
-
-TEST(JsonOutputTest, EmptyFindingsStillWellFormed) {
-  const std::string json = ea::render_json({}, 0);
-  EXPECT_NE(json.find("\"count\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"findings\": []"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-TEST(BaselineTest, RoundTripAbsorbsExactlyTheRenderedFindings) {
-  const std::vector<ea::Finding> findings{
-      {"src/a.cpp", 1, 1, "raw-throw", "m"},
-      {"src/a.cpp", 2, 1, "raw-throw", "m"},
-      {"src/b.cpp", 9, 1, "raw-assert", "m"},
-  };
-  ea::Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(ea::parse_baseline(ea::render_baseline(findings), baseline,
-                                 error))
-      << error;
-  std::size_t suppressed = 0;
-  const auto kept = ea::apply_baseline(findings, baseline, suppressed);
-  EXPECT_TRUE(kept.empty());
-  EXPECT_EQ(suppressed, 3u);
-}
-
-TEST(BaselineTest, MaxCountCapsAbsorption) {
-  ea::Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(ea::parse_baseline("a.cpp:raw-throw:1\n", baseline, error));
-  const std::vector<ea::Finding> findings{
-      {"src/a.cpp", 1, 1, "raw-throw", "m"},
-      {"src/a.cpp", 2, 1, "raw-throw", "m"},
-  };
-  std::size_t suppressed = 0;
-  const auto kept = ea::apply_baseline(findings, baseline, suppressed);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].line, 2u);
-  EXPECT_EQ(suppressed, 1u);
-}
-
-TEST(BaselineTest, UnknownRuleOrBadCountIsALoadError) {
-  ea::Baseline baseline;
-  std::string error;
-  EXPECT_FALSE(ea::parse_baseline("a.cpp:no-such-rule\n", baseline, error));
-  EXPECT_NE(error.find("no-such-rule"), std::string::npos);
-  EXPECT_FALSE(ea::parse_baseline("a.cpp:raw-throw:xyz\n", baseline, error));
-  EXPECT_FALSE(ea::parse_baseline("justonefield\n", baseline, error));
-}
-
-TEST(BaselineTest, CommentsAndBlanksIgnored) {
-  ea::Baseline baseline;
-  std::string error;
-  EXPECT_TRUE(ea::parse_baseline("# header\n\n  # indented comment\n",
-                                 baseline, error))
-      << error;
-  EXPECT_TRUE(baseline.entries.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -94,6 +94,14 @@ TEST(MetricsTest, SettlingResetOnExcursion) {
   EXPECT_EQ(settling_time(res, 0, 0, 0.05, 10), 40);
 }
 
+TEST(MetricsTest, SteadyStateWindowStartsAtTheWarmUpOrAThird) {
+  EXPECT_EQ(steady_state_from(300), 100u);
+  EXPECT_EQ(steady_state_from(101), 100u);
+  EXPECT_EQ(steady_state_from(100), 33u);
+  EXPECT_EQ(steady_state_from(50), 16u);
+  EXPECT_EQ(steady_state_from(2), 0u);
+}
+
 TEST(MetricsTest, BadWindowThrows) {
   const auto res = make_result(std::vector<double>(10, 0.8));
   EXPECT_THROW(utilization_stats(res, 0, 5, 20), std::invalid_argument);

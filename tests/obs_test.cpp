@@ -99,11 +99,7 @@ TEST(ScopedTimerTest, RecordsOneSampleOnScopeExit) {
   {
     OBS_TIMED(&reg, "scope");
   }
-  if (kEnabled) {
-    EXPECT_EQ(reg.timer("scope").count, 1u);
-  } else {
-    EXPECT_EQ(reg.timer("scope").count, 0u);  // compiled out
-  }
+  EXPECT_EQ(reg.timer("scope").count, 1u);
 }
 
 TEST(TraceEncodingTest, RunInfoJsonlIsByteStable) {

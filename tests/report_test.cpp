@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "eucon/metrics.h"
 #include "eucon/workloads.h"
 
 namespace eucon::report {
@@ -57,6 +58,26 @@ TEST(ReportTest, SummaryMentionsEveryProcessor) {
   EXPECT_NE(s.find("P1:"), std::string::npos);
   EXPECT_NE(s.find("P2:"), std::string::npos);
   EXPECT_NE(s.find("miss ratio"), std::string::npos);
+}
+
+TEST(ReportTest, SummaryWindowIsTheSteadyStateRule) {
+  // 150 periods: past the paper's 100-period warm-up, so the report's
+  // window starts where eucon_sim --summary and the steering score start.
+  ExperimentConfig cfg;
+  cfg.spec = workloads::simple();
+  cfg.mpc = workloads::simple_controller_params();
+  cfg.sim.etf = rts::EtfProfile::constant(0.5);
+  cfg.num_periods = 150;
+  const ExperimentResult res = run_experiment(cfg);
+  ASSERT_EQ(metrics::steady_state_from(150), 100u);
+  std::ostringstream out;
+  write_summary(res, out);
+  const std::string s = out.str();
+  EXPECT_NE(s.find("steady-state window: [100, 150)"), std::string::npos)
+      << s;
+  std::ostringstream p1;
+  p1 << "P1: mean " << metrics::acceptability(res, 0, 100).mean << " ";
+  EXPECT_NE(s.find(p1.str()), std::string::npos) << s;
 }
 
 TEST(ReportTest, WriteAllCreatesThreeFiles) {

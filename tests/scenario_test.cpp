@@ -101,6 +101,18 @@ TEST(ScenarioParse, IllTypedValuesAreRejected) {
                std::invalid_argument);
 }
 
+TEST(ScenarioParse, NullValuesAreRejected) {
+  EXPECT_THROW(parse(R"({"name": null, "controllers": ["eucon"]})"),
+               std::invalid_argument);
+  EXPECT_THROW(parse(R"({"name": "x", "controllers": ["eucon"],
+                         "etf": [0.5, null]})"),
+               std::invalid_argument);
+  // A null inside an embedded fault plan reaches the plan's own parser.
+  EXPECT_THROW(parse(R"({"name": "x", "controllers": ["eucon"],
+                         "fault_plans": [{"seed": null}]})"),
+               std::invalid_argument);
+}
+
 TEST(ScenarioParse, MalformedJsonIsRejected) {
   EXPECT_THROW(parse(""), std::invalid_argument);
   EXPECT_THROW(parse("{"), std::invalid_argument);
@@ -202,7 +214,14 @@ TEST(ScenarioSeeds, ExpansionIsThePairedPullSchedule) {
     EXPECT_EQ(eucon_spec.config.sim.etf.factor_at(0),
               open_spec.config.sim.etf.factor_at(0))
         << t;
+    // Both are the pull the steering loop builds for the same index.
+    EXPECT_EQ(eucon_spec.name,
+              pull_spec(sc, ControllerKind::kEucon, t).name);
+    EXPECT_EQ(open_spec.name, pull_spec(sc, ControllerKind::kOpen, t).name);
   }
+  EXPECT_EQ(specs[pulls].name, "paired/OPEN/simple/etf0.5/j0.1/l0/uniform/f0#0");
+  EXPECT_EQ(specs[pulls - 1].name,
+            "paired/EUCON/simple/etf1/j0.1/l0/uniform/f0#1");
 }
 
 TEST(ScenarioLabels, InstanceLabelsAreUniqueAndStable) {

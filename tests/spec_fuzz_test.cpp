@@ -105,7 +105,6 @@ namespace {
 class ObsInvariantFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const auto seed = static_cast<std::uint64_t>(GetParam());
   Rng rng(seed * 7919 + 3);
 

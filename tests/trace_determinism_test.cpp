@@ -52,7 +52,6 @@ std::string read_file(const std::filesystem::path& path) {
 }
 
 TEST(TraceDeterminismTest, ConsecutiveRunsAreByteIdentical) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   for (const ExperimentSpec& spec : batch_specs()) {
     const std::string first = render_once(spec.config);
     const std::string second = render_once(spec.config);
@@ -62,7 +61,6 @@ TEST(TraceDeterminismTest, ConsecutiveRunsAreByteIdentical) {
 }
 
 TEST(TraceDeterminismTest, SerialAndPooledBatchTracesAreByteIdentical) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const std::vector<ExperimentSpec> specs = batch_specs();
   const std::filesystem::path base =
       std::filesystem::path(::testing::TempDir()) / "eucon_trace_det";

@@ -124,7 +124,6 @@ void expect_same_trace(const std::string& expected,
 class TraceGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(TraceGoldenTest, MatchesGoldenFile) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const GoldenCase& c = GetParam();
   const std::string produced = render_trace(make_config(c));
   ASSERT_FALSE(produced.empty());
@@ -156,7 +155,6 @@ INSTANTIATE_TEST_SUITE_P(Golden, TraceGoldenTest, ::testing::ValuesIn(kCases),
 // The golden traces are only trustworthy if rendering is a pure function
 // of the config — pin that property right next to the files.
 TEST(TraceGoldenTest, RenderingIsPure) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const ExperimentConfig cfg = make_config(kCases[0]);
   EXPECT_EQ(render_trace(cfg), render_trace(cfg));
 }

@@ -26,9 +26,8 @@
 #                  tools/coverage_report.py gates aggregate src/ line
 #                  coverage (no gcovr/lcov needed)
 #
-# plus the project linter (tools/eucon_lint) over the whole tree — the
-# machine-readable JSON gate against tools/lint_baseline.txt, exactly as the
-# lint_repo ctest runs it — and, when a clang++ is on PATH, a build with
+# plus the project linter (tools/eucon_lint) over the whole tree, exactly as
+# the lint_repo ctest runs it, and, when a clang++ is on PATH, a build with
 # -Wthread-safety -Werror so the EUCON_* capability annotations
 # (common/annotations.h) are enforced, not just parsed.
 #
@@ -41,13 +40,11 @@
 #   tools/check.sh --coverage  # coverage preset + line-coverage gate only
 #   tools/check.sh --lint      # lint gate + clang thread-safety build only
 #   tools/check.sh --tidy      # clang-tidy over src/ and tools/ (.clang-tidy)
-#   tools/check.sh --perf      # bench_perf --smoke + BENCH_PERF.json honesty gate
-#   tools/check.sh --steer     # scenario/steering suite under ASan/UBSan, the
-#                              # determinism contract under TSan, and the
-#                              # BENCH_STEERING.json acceptance gate
+#   tools/check.sh --perf      # bench_perf --smoke (self-checking report)
+#   tools/check.sh --steer     # scenario/steering suite under ASan/UBSan and
+#                              # the determinism contract under TSan
 #   tools/check.sh --scale     # bench_scaling --smoke (sharded controller up
-#                              # to 10k processors) + schema and blowup gate
-#                              # on the checked-in BENCH_SCALING.json
+#                              # to 10k processors, self-checking report)
 #   tools/check.sh --help      # print this text
 #
 # Each preset builds into build-<preset>/ (gitignored). Exit status is
@@ -100,25 +97,11 @@ run_lint() {
   local dir="$ROOT/build-default"
   echo "=== [lint] build eucon_lint ==="
   # shellcheck disable=SC2046  # gen_flags emits zero or two words
-  cmake -B "$dir" -S "$ROOT" $(gen_flags "$dir") \
-    -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+  cmake -B "$dir" -S "$ROOT" $(gen_flags "$dir") >/dev/null
   cmake --build "$dir" -j "$JOBS" --target eucon_lint
-  echo "=== [lint] JSON gate over src/ tests/ tools/ bench/ examples/ ==="
-  local t0=$SECONDS
-  "$dir/tools/eucon_lint" --format=json \
-    --baseline "$ROOT/tools/lint_baseline.txt" \
+  echo "=== [lint] src/ tests/ tools/ bench/ examples/ ==="
+  "$dir/tools/eucon_lint" \
     "$ROOT/src" "$ROOT/tests" "$ROOT/tools" "$ROOT/bench" "$ROOT/examples"
-  echo "=== [lint] directory gate took $((SECONDS - t0))s ==="
-  # Second pass over exactly what the build compiles: the TU list from
-  # compile_commands.json exercises eucon_lint's multi-TU call-graph
-  # merging (each .cpp plus its companion header) the way an IDE or CI
-  # integration would drive it.
-  echo "=== [lint] multi-TU gate via compile_commands.json ==="
-  t0=$SECONDS
-  "$dir/tools/eucon_lint" --format=json \
-    --baseline "$ROOT/tools/lint_baseline.txt" \
-    --compile-commands "$dir/compile_commands.json"
-  echo "=== [lint] multi-TU gate took $((SECONDS - t0))s ==="
   echo "=== [lint] OK ==="
 }
 
@@ -188,109 +171,34 @@ run_faults() {
   configure_build_test tsan --tests "$FAULT_TESTS" -DEUCON_SANITIZE=thread
 }
 
-# Perf smoke gate: builds bench_perf, runs the self-validating --smoke pass
-# (schema + honesty rules on the freshly emitted report), then holds the
-# *checked-in* BENCH_PERF.json to the multi-core honesty rules: a 1-core
-# report must withhold the batch speedup (null, unclaimed); a multi-core
-# report must claim one and clear the 1.1x floor — below that the pool is
-# not paying for itself and the published numbers are misleading.
+# Perf smoke gate: builds bench_perf and runs its self-checking --smoke
+# pass (bench/report_checks.h's rules on the freshly written report). The
+# checked-in BENCH_PERF.json is held to the same rules by the tier-1
+# bench_reports_test.
 run_perf() {
   local dir="$ROOT/build-default"
   echo "=== [perf] build bench_perf ==="
   # shellcheck disable=SC2046  # gen_flags emits zero or two words
   cmake -B "$dir" -S "$ROOT" $(gen_flags "$dir") >/dev/null
   cmake --build "$dir" -j "$JOBS" --target bench_perf
-  echo "=== [perf] bench_perf --smoke (self-validating report) ==="
+  echo "=== [perf] bench_perf --smoke (self-checking report) ==="
   "$dir/bench/bench_perf" --smoke --json "$dir/bench_perf_smoke.json"
-  echo "=== [perf] checked-in BENCH_PERF.json honesty gate ==="
-  python3 - "$ROOT/BENCH_PERF.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    rep = json.load(f)
-if rep.get("schema_version", 0) < 2:
-    sys.exit("BENCH_PERF.json: schema_version < 2; regenerate with bench_perf")
-hw = rep["hardware_concurrency"]
-batch = rep["batch"]
-claimed = batch.get("speedup_claimed", False)
-speedup = batch.get("speedup")
-if hw <= 1:
-    if claimed or speedup is not None:
-        sys.exit("BENCH_PERF.json: report generated on a 1-core machine "
-                 "must not claim a batch speedup (speedup must be null)")
-else:
-    if not claimed or speedup is None:
-        sys.exit("BENCH_PERF.json: multi-core report must publish a "
-                 "measured batch speedup")
-    if speedup < 1.1:
-        sys.exit("BENCH_PERF.json: batch speedup %.2fx on %d cores is "
-                 "below the 1.1x floor; regenerate and investigate before "
-                 "publishing" % (speedup, hw))
-print("BENCH_PERF.json: hw=%d speedup_claimed=%s -> OK" % (hw, claimed))
-EOF
   echo "=== [perf] OK ==="
 }
 
-# Cluster-scale gate: builds bench_scaling, runs its self-validating
+# Cluster-scale gate: builds bench_scaling and runs its self-checking
 # --smoke pass (closed loops at every n from 16 to 10k, sharded-vs-central
-# parity, schema validation of the freshly emitted report), then holds the
-# *checked-in* BENCH_SCALING.json to the same contract: a full (non-smoke)
-# run covering every processor count, settled loops, parity within
-# tolerance on every n <= 128 scenario, and the superlinear-blowup guard —
-# the per-period cost at n=10k must stay under 100x the n=1k cost.
+# parity, bench/report_checks.h's rules on the freshly written report).
+# The checked-in BENCH_SCALING.json is held to the same rules by the tier-1
+# bench_reports_test.
 run_scale() {
   local dir="$ROOT/build-default"
   echo "=== [scale] build bench_scaling ==="
   # shellcheck disable=SC2046  # gen_flags emits zero or two words
   cmake -B "$dir" -S "$ROOT" $(gen_flags "$dir") >/dev/null
   cmake --build "$dir" -j "$JOBS" --target bench_scaling
-  echo "=== [scale] bench_scaling --smoke (self-validating report) ==="
+  echo "=== [scale] bench_scaling --smoke (self-checking report) ==="
   "$dir/bench/bench_scaling" --smoke --json "$dir/bench_scaling_smoke.json"
-  echo "=== [scale] checked-in BENCH_SCALING.json gate ==="
-  python3 - "$ROOT/BENCH_SCALING.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    rep = json.load(f)
-if rep.get("schema_version", 0) < 1:
-    sys.exit("BENCH_SCALING.json: schema_version < 1; regenerate with "
-             "bench_scaling")
-if rep.get("smoke"):
-    sys.exit("BENCH_SCALING.json: checked-in report must come from a full "
-             "run, not --smoke")
-points = {p["processors"]: p for p in rep["points"]}
-expected = [16, 128, 1000, 4000, 10000]
-missing = [n for n in expected if n not in points]
-if missing:
-    sys.exit("BENCH_SCALING.json: missing processor counts %s" % missing)
-problems = []
-for n in expected:
-    p = points[n]
-    if p["period_p50_us"] <= 0:
-        problems.append("n=%d period_p50_us not positive" % n)
-    if p["steady_err_max"] >= 0.02:
-        problems.append("n=%d loop did not settle (steady_err_max=%.4f)"
-                        % (n, p["steady_err_max"]))
-    if p["workspace_vars"] != p["max_shard_vars"]:
-        problems.append("n=%d QP workspace not sized per shard" % n)
-blowup = points[10000]["period_p50_us"] / points[1000]["period_p50_us"]
-if blowup >= 100:
-    problems.append("superlinear blowup: 10k period cost is %.1fx the 1k "
-                    "cost (floor: < 100x)" % blowup)
-for par in rep["parity"]:
-    if par["processors"] > 128:
-        problems.append("parity entry beyond n=128")
-    if par["max_rate_gap_rel"] >= 0.02:
-        problems.append("n=%d sharded rates diverge from central MPC "
-                        "(gap %.4f)" % (par["processors"],
-                                        par["max_rate_gap_rel"]))
-    if par["util_err_hier"] >= 0.01:
-        problems.append("n=%d sharded loop off set points (%.4f)"
-                        % (par["processors"], par["util_err_hier"]))
-if problems:
-    sys.exit("BENCH_SCALING.json: " + "; ".join(problems) +
-             "; regenerate and investigate before publishing")
-print("BENCH_SCALING.json: n=16..10k all settled, blowup %.1fx, "
-      "parity OK -> OK" % blowup)
-EOF
   echo "=== [scale] OK ==="
 }
 
@@ -300,6 +208,8 @@ EOF
 # the pinned golden), the bench_steering smoke gate, and the CLI entry
 # point. The memory-safety preset runs all of it; TSan reruns the
 # determinism contract with real pool workers racing on the batch engine.
+# The checked-in BENCH_STEERING.json is held to bench_steering's own report
+# rules by the tier-1 bench_reports_test.
 STEER_TESTS='ScenarioParse|ScenarioValidate|ScenarioSeeds|ScenarioLabels'
 STEER_TESTS+='|ScenarioFiles|SteeringStat|SteeringCi|SteeringStop'
 STEER_TESTS+='|SteeringApi|SteeringScore|SteeringDeterminism|GoldenSteering'
@@ -310,34 +220,6 @@ run_steer() {
     "-DEUCON_SANITIZE=address;undefined"
   configure_build_test tsan --tests "$STEER_TSAN_TESTS" \
     -DEUCON_SANITIZE=thread
-  echo "=== [steer] checked-in BENCH_STEERING.json acceptance gate ==="
-  python3 - "$ROOT/BENCH_STEERING.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    rep = json.load(f)
-if rep.get("schema_version", 0) < 1:
-    sys.exit("BENCH_STEERING.json: schema_version < 1; regenerate with "
-             "bench_steering")
-if rep.get("smoke"):
-    sys.exit("BENCH_STEERING.json: checked-in report must come from a full "
-             "run, not --smoke")
-steering = rep["steering"]
-floor = rep["savings_floor"]
-problems = []
-if not rep.get("winners_match"):
-    problems.append("steered winner does not match the exhaustive grid")
-if not steering.get("decided"):
-    problems.append("steering did not decide within the grid budget")
-if steering["replication_savings"] < floor:
-    problems.append("savings %.2fx below the %.1fx floor"
-                    % (steering["replication_savings"], floor))
-if problems:
-    sys.exit("BENCH_STEERING.json: " + "; ".join(problems) +
-             "; regenerate and investigate before publishing")
-print("BENCH_STEERING.json: scenario=%s winner=%s savings=%.2fx -> OK"
-      % (rep["scenario"], steering["winner"],
-         steering["replication_savings"]))
-EOF
   echo "=== [steer] OK ==="
 }
 

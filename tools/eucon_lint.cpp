@@ -1,19 +1,16 @@
-// eucon_lint — the project's static checker CLI (v3).
+// eucon_lint — the project's static checker CLI.
 //
 // All analysis lives in src/analysis (tokenizer, rule engine, the
 // interprocedural call graph behind the *-in-realtime rules, output); this
 // file only parses flags and moves bytes. Finding paths are reported
-// relative to the enclosing repository root, so output and baselines are
-// identical no matter where the tool is invoked from. See docs/quality.md
-// for the rule catalogue, the suppression syntax, the EUCON_REALTIME
-// contract, and the baseline workflow.
+// relative to the enclosing repository root, so the output is identical no
+// matter where the tool is invoked from. See docs/quality.md for the rule
+// catalogue, the suppression syntax and the EUCON_REALTIME contract.
 //
-//   eucon_lint [--format=text|json] [--baseline FILE] [--write-baseline]
-//              [--compile-commands FILE] [--list-rules] [--selftest DIR]
-//              PATH...
+//   eucon_lint [--list-rules] [--selftest DIR] PATH...
 //
-// Exit codes: 0 no findings, 1 findings (or selftest mismatch), 2 usage /
-// I/O / baseline errors. A typo'd path is exit 2, never "0 findings".
+// Exit codes: 0 no findings, 1 findings (or selftest mismatch), 2 usage or
+// I/O errors. A typo'd path is exit 2, never "0 findings".
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -30,10 +27,7 @@ using namespace eucon::analysis;
 namespace {
 
 constexpr const char* kUsage =
-    "usage: eucon_lint [--format=text|json] [--baseline FILE] "
-    "[--write-baseline]\n"
-    "                  [--compile-commands FILE] [--list-rules] "
-    "[--selftest DIR] PATH...\n";
+    "usage: eucon_lint [--list-rules] [--selftest DIR] PATH...\n";
 
 void print_rules() {
   for (const RuleInfo& r : rule_registry())
@@ -92,40 +86,10 @@ int run_selftest(const fs::path& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  bool write_baseline = false;
-  std::string baseline_path;
   std::vector<fs::path> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json" || arg == "--format=json") {
-      json = true;
-    } else if (arg == "--format=text") {
-      json = false;
-    } else if (arg.rfind("--format=", 0) == 0) {
-      std::cerr << "unknown format: " << arg.substr(9) << '\n';
-      return 2;
-    } else if (arg == "--baseline") {
-      if (++i >= argc) {
-        std::cerr << "--baseline requires a file argument\n";
-        return 2;
-      }
-      baseline_path = argv[i];
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--compile-commands") {
-      if (++i >= argc) {
-        std::cerr << "--compile-commands requires a file argument\n";
-        return 2;
-      }
-      std::vector<fs::path> files;
-      std::string error;
-      if (!files_from_compile_commands(argv[i], files, error)) {
-        std::cerr << error << '\n';
-        return 2;
-      }
-      roots.insert(roots.end(), files.begin(), files.end());
-    } else if (arg == "--list-rules") {
+    if (arg == "--list-rules") {
       print_rules();
       return 0;
     } else if (arg == "--selftest") {
@@ -158,33 +122,9 @@ int main(int argc, char** argv) {
 
   std::vector<Finding> findings = run_lint(roots);
   normalize_paths(findings);
-  // Re-sort on the normalized paths: raw-path order (absolute vs relative
-  // spellings, compile_commands entry order) must not leak into the report.
+  // Re-sort on the normalized paths: absolute vs relative spellings of the
+  // roots must not leak into the report's order.
   sort_findings(findings);
-
-  if (write_baseline) {
-    std::cout << render_baseline(findings);
-    return 0;
-  }
-
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    Baseline baseline;
-    std::string error;
-    if (!load_baseline(baseline_path, baseline, error)) {
-      std::cerr << error << '\n';
-      return 2;
-    }
-    findings = apply_baseline(findings, std::move(baseline), suppressed);
-  }
-
-  if (json) {
-    std::cout << render_json(findings, suppressed);
-  } else {
-    std::cout << render_text(findings);
-    std::cout << findings.size() << " finding(s)";
-    if (suppressed > 0) std::cout << ", " << suppressed << " baselined";
-    std::cout << '\n';
-  }
+  std::cout << render_text(findings) << findings.size() << " finding(s)\n";
   return findings.empty() ? 0 : 1;
 }

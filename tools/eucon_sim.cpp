@@ -396,10 +396,6 @@ int main(int argc, char** argv) {
       trace_sink = std::make_unique<obs::FileSink>(trace_jsonl);
       cfg.trace_sink = trace_sink.get();
     }
-    if (!obs::kEnabled && (print_metrics || !trace_jsonl.empty()))
-      std::fprintf(stderr,
-                   "note: observability compiled out (EUCON_OBS=OFF); "
-                   "--trace/--metrics produce no data\n");
 
     const ExperimentResult res = run_experiment(cfg);
     const std::size_t n = res.set_points.size();
@@ -421,9 +417,8 @@ int main(int argc, char** argv) {
     if (summary) {
       const obs::RunSummary& totals = res.summary;
       std::printf("# controller: %s\n", controller_kind_name(cfg.controller));
+      const std::size_t from = metrics::steady_state_from(res.trace.size());
       for (std::size_t p = 0; p < n; ++p) {
-        const std::size_t from =
-            res.trace.size() > 100 ? 100 : res.trace.size() / 3;
         const auto a = metrics::acceptability(res, p, from);
         std::printf("# P%zu: mean %.4f sigma %.4f set %.4f -> %s\n", p + 1,
                     a.mean, a.stddev, a.set_point,
