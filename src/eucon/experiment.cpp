@@ -392,7 +392,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       const std::uint64_t stalls = sim.release_guard_stalls();
       prec.release_guard_stalls = stalls - prev_stalls;
       prev_stalls = stalls;
-      if (const control::Diagnostics* diag = controller->diagnostics()) {
+      // A blackout period's controller did not run, so it writes no qp
+      // block (its diagnostics still describe the last update).
+      const control::Diagnostics* diag =
+          blackout ? nullptr : controller->diagnostics();
+      if (diag != nullptr) {
         prec.qp_iterations = diag->iterations;
         prec.qp_fast_path = diag->fast_path;
         prec.qp_fallback = diag->fallback;

@@ -261,6 +261,34 @@ TEST(DegradationTest, CountersMatchTraceDerivedTotals) {
   EXPECT_EQ(blackouts, 10u);
 }
 
+TEST(DegradationTest, QpBlocksSumToTheSummaryAcrossABlackout) {
+  // The central controller does not run in a blackout period, so that
+  // period's record carries no qp block, and the per-period blocks add up
+  // to the run's QP totals.
+  ExperimentConfig cfg = demo_config();
+  obs::MemorySink sink;
+  cfg.trace_sink = &sink;
+  const ExperimentResult res = run_experiment(cfg);
+  ASSERT_EQ(res.summary.blackout_periods, 10u);
+
+  std::uint64_t iters = 0, fast_path = 0, fallbacks = 0, blackouts = 0;
+  for (const obs::PeriodRecord& rec : sink.records()) {
+    const bool blackout = rec.fault_mode == "blackout";
+    if (blackout) ++blackouts;
+    EXPECT_EQ(rec.qp_iterations >= 0, !blackout) << "k=" << rec.k;
+    if (rec.qp_iterations < 0) continue;  // no qp block
+    iters += static_cast<std::uint64_t>(rec.qp_iterations);
+    if (rec.qp_fast_path) ++fast_path;
+    if (rec.qp_fallback) ++fallbacks;
+  }
+  EXPECT_EQ(blackouts, 10u);
+  EXPECT_EQ(iters, res.summary.qp_iterations_total);
+  EXPECT_EQ(fast_path, res.summary.qp_fast_path_hits);
+  EXPECT_EQ(fallbacks, res.summary.controller_fallbacks);
+  EXPECT_EQ(res.summary.controller_updates,
+            static_cast<std::uint64_t>(cfg.num_periods) - blackouts);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism of faulted runs.
 // ---------------------------------------------------------------------------
