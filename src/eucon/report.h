@@ -18,7 +18,8 @@ void write_rates_csv(const ExperimentResult& result,
                      const rts::SystemSpec& spec, std::ostream& out);
 
 // Human-readable run summary (set points, steady-state stats per
-// processor, deadline ratios, adaptation counters).
+// processor, deadline ratios, adaptation counters). steady_from = 0 starts
+// the window at metrics::steady_state_from(trace length).
 void write_summary(const ExperimentResult& result, std::ostream& out,
                    std::size_t steady_from = 0);
 
