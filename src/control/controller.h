@@ -14,7 +14,8 @@ namespace eucon::control {
 // What a QP-backed controller's optimizer did: the last update, then run
 // totals (docs/observability.md).
 struct Diagnostics {
-  int iterations = 0;      // dual adds plus drops (both solves on fallback)
+  int iterations = 0;      // dual adds plus drops, warm drops included
+                           // (both solves on fallback)
   bool fast_path = false;  // iteration 0 feasible; never in a fallback period
   bool fallback = false;   // the hard instance failed; util rows dropped
   qp::Status status = qp::Status::kOptimal;  // of the applied solve

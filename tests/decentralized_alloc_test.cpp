@@ -5,8 +5,9 @@
 //   * the sharded controller's steady state is allocation-free under both
 //     sweeps — Jacobi (DEUCON) and Gauss–Seidel (HIER): once construction
 //     and a warm-up stretch have grown every buffer (shard gather scratch,
-//     QP workspace, warm-start working sets) to its high-water mark, a
-//     sampling period's update() touches the heap exactly zero times;
+//     QP workspace, the factors each shard's solver carries from period to
+//     period) to its high-water mark, a sampling period's update() touches
+//     the heap exactly zero times, resumed solves included;
 //   * run_experiment builds the plant model in CSR: a sharded run never
 //     allocates a block the size of the dense n×m F;
 //   * the simulator frees each requested rate vector once it is applied,
@@ -15,8 +16,10 @@
 //     the job pool, event heap, ready heaps and release-guard FIFOs have
 //     reached their high-water marks, run_until touches the heap zero
 //     times.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -168,6 +171,64 @@ TEST(DecentralizedAllocTest, HierarchicalUpdateIsAllocationFreeAfterWarmup) {
     }
   }
   EXPECT_EQ(CountScope::count(), 0u);
+}
+
+// Swings a rotating quarter of the processors between overload and
+// underload, so shard QPs keep rows active from period to period and also
+// change them: every period resumes from the last one's factor, drops the
+// rows that left and adds the ones that entered.
+void swing(Vector& u, const Vector& b, int k) {
+  for (std::size_t p = 0; p < u.size(); ++p) {
+    const bool hit = (p + static_cast<std::size_t>(k)) % 4 == 0;
+    u[p] = std::min(1.0, b[p] * (hit ? (k % 2 == 0 ? 1.3 : 0.6) : 1.05));
+  }
+}
+
+// Both sweeps with shard QPs that carry their factor through real work:
+// rows stay active across periods, so the counted periods resume, drop and
+// add (the counted region must see non-fast-path periods and iterations).
+TEST(DecentralizedAllocTest, WarmStartedShardSolvesAreAllocationFree) {
+  workloads::ChainClusterParams params;
+  params.num_processors = 32;
+  params.tasks_per_processor = 2;
+  params.chain_length = 3;
+  const rts::SystemSpec spec = workloads::chain_cluster(params, 17);
+  const SparsePlantModel model = make_sparse_plant_model(spec);
+  MpcParams mpc;
+  mpc.prediction_horizon = 2;
+  mpc.control_horizon = 1;
+  // cluster_des's setting: with no utilization rows, no period falls back,
+  // so no template switch sends a shard back to J0.
+  mpc.constraint_mode = ConstraintMode::kSoftOnly;
+  HierarchicalParams hier;
+  hier.shard_size = 8;
+  HierarchicalMpcController hier_ctrl(model, mpc, hier,
+                                      spec.initial_rate_vector());
+  const auto deucon = HierarchicalMpcController::decentralized(
+      model, mpc, spec.initial_rate_vector());
+
+  for (Controller* ctrl : {static_cast<Controller*>(&hier_ctrl),
+                           static_cast<Controller*>(deucon.get())}) {
+    Vector u = model.b;
+    for (int k = 0; k < 40; ++k) {
+      swing(u, model.b, k);
+      ctrl->update(u);
+    }
+    std::uint64_t solved_periods = 0;
+    const std::uint64_t iterations_before = ctrl->diagnostics()->qp_iterations;
+    {
+      const CountScope scope;
+      for (int k = 40; k < 90; ++k) {
+        swing(u, model.b, k);
+        ctrl->update(u);
+        if (!ctrl->diagnostics()->fast_path) ++solved_periods;
+      }
+    }
+    EXPECT_EQ(CountScope::count(), 0u) << ctrl->name();
+    EXPECT_EQ(solved_periods, 50u) << ctrl->name();
+    EXPECT_GT(ctrl->diagnostics()->qp_iterations, iterations_before + 50)
+        << ctrl->name();
+  }
 }
 
 // chain_cluster at n = 512 (m = 1024) under both sharded controllers: the

@@ -79,6 +79,7 @@ TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
   // One workspace, three different problem shapes within its reserve
   // bounds: results must match fresh one-shot solves.
   QpWorkspace ws;
+  DualFactor factor;
   ws.reserve(4, 8);
   Result out;
   for (std::size_t n = 2; n <= 4; ++n) {
@@ -94,7 +95,7 @@ TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
       a(i, i) = 1.0;
       a(n + i, i) = -1.0;
     }
-    solve_qp_into(h, f, a, b, {}, ws, out);
+    solve_qp_into(h, f, a, b, {}, ws, factor, out);
     const Result fresh = solve_qp(h, f, a, b);
     ASSERT_EQ(out.status, Status::kOptimal) << n;
     ASSERT_EQ(fresh.status, Status::kOptimal) << n;
@@ -107,13 +108,14 @@ TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
 
 TEST(QpStressTest, WorkspaceTooSmallIsRefused) {
   QpWorkspace ws;
+  DualFactor factor;
   ws.reserve(1, 1);
   Matrix h{{2.0, 0.0}, {0.0, 2.0}};
   Vector f{-1.0, -1.0};
   Matrix a{{1.0, 0.0}};
   Vector b{1.0};
   Result out;
-  EXPECT_THROW(solve_qp_into(h, f, a, b, {}, ws, out),
+  EXPECT_THROW(solve_qp_into(h, f, a, b, {}, ws, factor, out),
                std::invalid_argument);
 }
 
