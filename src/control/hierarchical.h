@@ -53,7 +53,8 @@
 //     have no staggered copy;
 //   * every local MPC solves its QP through ONE shared workspace sized to
 //     the largest shard (growth-only), so active-set scratch memory scales
-//     with the shard size, not with n.
+//     with the shard size, not with n; what a local carries from one of its
+//     solves to the next (its solver's factor) is its own.
 //
 // The per-period update is allocation-free after construction, under
 // either sweep (decentralized_alloc_test counts operator new);
