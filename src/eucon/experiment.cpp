@@ -240,6 +240,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     prev_rates = sim.current_rates();
   }
 
+  std::vector<double> u;  // this period's utilizations, reused every period
   for (int k = 1; k <= config.num_periods; ++k) {
     OBS_TIMED(metrics, "experiment.period");
     std::uint64_t overload_hits = 0;
@@ -260,7 +261,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       OBS_TIMED(metrics, "sim.advance");
       sim.run_until(static_cast<Ticks>(k) * ts);
     }
-    const std::vector<double> u = sim.sample_utilizations();
+    sim.sample_utilizations_into(u);
 
     // Deliver the reports over the (possibly lossy) feedback lanes.
     const linalg::Vector& u_seen = lanes.deliver(
@@ -423,6 +424,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   summary.lost_reports = lanes.lost_reports();
   summary.release_guard_stalls = sim.release_guard_stalls();
   summary.jobs_released = sim.jobs_released();
+  summary.events_popped = sim.events_popped();
   const control::Diagnostics* const diag = controller->diagnostics();
   if (diag != nullptr) {
     summary.controller_updates = diag->updates;
@@ -447,6 +449,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     metrics->add("experiment.lost_reports", summary.lost_reports);
     metrics->add("sim.release_guard_stalls", summary.release_guard_stalls);
     metrics->add("sim.jobs_released", summary.jobs_released);
+    metrics->add("sim.events_popped", summary.events_popped);
     std::uint64_t e2e_misses = 0;
     const rts::DeadlineStats& ds = sim.deadline_stats();
     for (std::size_t t = 0; t < ds.num_tasks(); ++t)

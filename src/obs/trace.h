@@ -75,6 +75,7 @@ struct RunSummary {
   std::uint64_t qp_fast_path_hits = 0;
   std::uint64_t release_guard_stalls = 0;
   std::uint64_t jobs_released = 0;
+  std::uint64_t events_popped = 0;  // the DES's events; not in the JSONL line
 
   // Fault totals; emitted only when faults_active is set (see PeriodRecord).
   bool faults_active = false;

@@ -8,11 +8,14 @@
 //
 // The ready heap holds compact entries (key, task, subtask, enqueue seq,
 // job handle), so ordering and re-keying never read a Job; the running
-// job's entry and remaining demand live in the processor itself.
+// job's entry and remaining demand live in the processor itself. Its sifts
+// move entries field by field between heap nodes, never through a
+// temporary struct.
 //
-// Completion events are scheduled optimistically: whenever a (new) job
-// starts or resumes, a completion event is emitted and its queue seq
-// remembered; any previously emitted event becomes stale.
+// The processor owns one completion slot in the event queue: whenever a
+// job starts or resumes, the slot is set to that job's finish time, which
+// replaces the previous job's completion, so every completion the queue
+// pops is the running job's.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +39,9 @@ class Processor {
   // stays in the caller's pool.
   void make_ready(JobHandle job, Ticks priority_key, Ticks now);
 
-  // Handles the completion event that the queue stamped `seq`. Returns the
-  // completed job when the event is current and the running job has
-  // exhausted its demand, kNoJob when the event is stale.
+  // Handles the completion event that the queue stamped `seq` (always the
+  // running job's: the queue holds no stale completions) and returns the
+  // completed job.
   JobHandle on_completion_event(std::uint64_t seq, Ticks now);
 
   // Rate-monotonic re-keying after a rate change: every queued and running
@@ -71,26 +74,34 @@ class Processor {
     std::uint64_t enqueue_seq = 0;  // FIFO tie-break within equal keys
     JobHandle job = kNoJob;
   };
-  struct ByPriority {
-    // Min-heap: true when a ranks *after* b.
-    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const;
-  };
+
+  // Binary min-heap on (key, task, subtask, enqueue_seq), a strict total
+  // order, so any correct heap pops the same entry.
+  void push_ready(Ticks key, int task, int subtask, std::uint64_t enqueue_seq,
+                  JobHandle job);
+  // Moves the top entry into `out` and refills the heap from its last entry.
+  void pop_ready(ReadyEntry& out);
+  // Moves the top entry into `out` and sinks `out`'s old entry in its place.
+  void swap_top(ReadyEntry& out);
+  void sift_down(std::size_t i, Ticks key, int task, int subtask,
+                 std::uint64_t enqueue_seq, JobHandle job);
+  void make_heap();
 
   void dispatch(Ticks now);
-  void schedule_completion(Ticks now);
-  void trace_event(TraceKind kind, const ReadyEntry& entry, Ticks now);
+  void trace_event(TraceKind kind, JobHandle job, int task, int subtask,
+                   Ticks now);
 
   int id_;
   EventQueue* queue_;
   JobPool* jobs_;
   TraceLog* trace_;
-  std::vector<ReadyEntry> ready_;  // heap (ByPriority)
+  std::vector<ReadyEntry> ready_;  // binary heap, top first
   ReadyEntry running_;             // job == kNoJob when idle
   Ticks running_remaining_ = 0;    // the running job's demand not yet executed
   Ticks last_account_ = 0;
   Ticks window_busy_ = 0;
   Ticks total_busy_ = 0;
-  std::uint64_t live_completion_seq_ = ~std::uint64_t{0};
+  std::uint64_t live_completion_seq_ = ~std::uint64_t{0};  // the slot's seq
   std::uint64_t next_enqueue_seq_ = 0;
 };
 

@@ -10,9 +10,14 @@ namespace eucon::rts {
 
 namespace {
 constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
+SystemSpec validated(SystemSpec spec) {
+  spec.validate();
+  return spec;
+}
 }  // namespace
 
-void Simulator::GuardFifo::push(const PendingRelease& r) {
+void Simulator::GuardFifo::push(Ticks instance_release, Ticks abs_deadline) {
   if (size_ == ring_.size()) {
     // Full: unroll into a buffer twice the size (at least 4). This is the
     // only allocation, and only when the backlog exceeds every earlier one.
@@ -23,7 +28,9 @@ void Simulator::GuardFifo::push(const PendingRelease& r) {
     ring_.swap(grown);
     head_ = 0;
   }
-  ring_[(head_ + size_) & (ring_.size() - 1)] = r;
+  PendingRelease& r = ring_[(head_ + size_) & (ring_.size() - 1)];
+  r.instance_release = instance_release;
+  r.abs_deadline = abs_deadline;
   ++size_;
 }
 
@@ -35,11 +42,44 @@ Simulator::PendingRelease Simulator::GuardFifo::pop() {
   return r;
 }
 
+void Simulator::RateRing::enqueue(const std::vector<double>& rates) {
+  if (size_ == capacity_) {
+    // Full: unroll into twice as many buffers (at least 2). This is the
+    // only allocation, and only when more requests are pending than ever
+    // before.
+    const std::size_t grown_capacity = std::max<std::size_t>(2, 2 * capacity_);
+    std::vector<double> grown(grown_capacity * width_);
+    for (std::size_t i = 0; i < size_; ++i) {
+      const std::size_t from = (head_ + i) % capacity_ * width_;
+      std::copy_n(buf_.begin() + static_cast<std::ptrdiff_t>(from), width_,
+                  grown.begin() + static_cast<std::ptrdiff_t>(i * width_));
+    }
+    buf_.swap(grown);
+    capacity_ = grown_capacity;
+    head_ = 0;
+  }
+  const std::size_t at = (head_ + size_) % capacity_ * width_;
+  std::copy(rates.begin(), rates.end(),
+            buf_.begin() + static_cast<std::ptrdiff_t>(at));
+  ++size_;
+}
+
+const double* Simulator::RateRing::front() const {
+  EUCON_ASSERT(size_ > 0, "rate change with no rates queued");
+  return buf_.data() + head_ * width_;
+}
+
+void Simulator::RateRing::pop() {
+  head_ = (head_ + 1) % capacity_;
+  --size_;
+}
+
 Simulator::Simulator(SystemSpec spec, SimOptions options)
-    : spec_(std::move(spec)),
+    : spec_(validated(std::move(spec))),
       options_(std::move(options)),
-      deadline_stats_(spec_.num_tasks()) {
-  spec_.validate();
+      queue_(static_cast<std::size_t>(spec_.num_processors)),
+      deadline_stats_(spec_.num_tasks()),
+      pending_rates_(spec_.num_tasks()) {
   EUCON_REQUIRE(options_.feedback_lane_delay >= 0.0,
                 "feedback-lane delay must be non-negative");
   exec_params_.distribution = options_.exec_distribution;
@@ -76,8 +116,6 @@ Simulator::Simulator(SystemSpec spec, SimOptions options)
 
   const Rng base(options_.seed);
   for (std::size_t i = 0; i < m; ++i) {
-    rates_[i] = spec_.tasks[i].initial_rate;
-    period_ticks_[i] = rate_to_period_ticks(rates_[i]);
     task_base_[i] = subtasks_.size();
     const auto& chain = spec_.tasks[i].subtasks;
     double exec_sum = 0.0;
@@ -99,31 +137,30 @@ Simulator::Simulator(SystemSpec spec, SimOptions options)
     }
   }
   task_base_[m] = subtasks_.size();
+  for (std::size_t i = 0; i < m; ++i)
+    set_task_rate(i, spec_.tasks[i].initial_rate);
 
-  // Every pending event is a task release (live or superseded), a guarded
-  // subtask release, a completion (live or stale) or a rate change; a few
-  // per task, subtask and processor cover the steady state, so the heap
-  // rarely grows after warm-up.
-  queue_.reserve(4 * (m + flat_count + processors_.size()) + 16);
+  // Besides the completion slots, every pending event is a task release
+  // (live or superseded), a guarded subtask release or a rate change; a
+  // few per task and subtask cover the steady state, so the heap rarely
+  // grows after warm-up.
+  queue_.reserve(4 * (m + flat_count) + 16);
 
   // Initial releases: every task starts at time 0 (the paper's runs start
   // with all tasks active at their initial rates).
-  for (std::size_t i = 0; i < m; ++i) {
-    Event e;
-    e.time = 0;
-    e.kind = EventKind::kTaskRelease;
-    e.index = static_cast<std::uint32_t>(i);
-    live_release_seq_[i] = queue_.push(e);
-  }
+  for (std::size_t i = 0; i < m; ++i)
+    live_release_seq_[i] =
+        queue_.push(0, EventKind::kTaskRelease, static_cast<std::uint32_t>(i));
 }
 
 Simulator::~Simulator() = default;
 
 void Simulator::run_until(Ticks t) {
   EUCON_REQUIRE(t >= now_, "run_until cannot move backwards");
-  while (!queue_.empty() && queue_.top().time < t) {
+  while (!queue_.empty() && queue_.next_time() < t) {
     const Event e = queue_.pop();
     EUCON_ASSERT(e.time >= now_, "event queue produced an out-of-order event");
+    ++events_popped_;
     now_ = e.time;
     handle(e);
   }
@@ -162,9 +199,7 @@ void Simulator::release_job(std::size_t flat, Ticks instance_release,
   job.abs_deadline = abs_deadline;
   // Subdeadline: this subtask's share of d_i = n_i / r_i, from the release
   // (even division makes this exactly one period, paper §7.1).
-  job.sub_deadline =
-      now_ + static_cast<Ticks>(std::llround(slot.deadline_scale *
-                                             static_cast<double>(period)));
+  job.sub_deadline = now_ + slot.deadline_offset;
   job.remaining = draw_exec_time(options_.etf, exec_params_, exec_rng_[flat],
                                  slot.estimated_exec, now_);
   const Ticks key = options_.policy == SchedulingPolicy::kRateMonotonic
@@ -175,13 +210,11 @@ void Simulator::release_job(std::size_t flat, Ticks instance_release,
 
 void Simulator::schedule_task_release(std::size_t task, Ticks not_before) {
   const Ticks last = subtasks_[task_base_[task]].last_release;
-  Event rel;
-  rel.time = last == kNeverTicks
-                 ? not_before
-                 : std::max(not_before, last + period_ticks_[task]);
-  rel.kind = EventKind::kTaskRelease;
-  rel.index = static_cast<std::uint32_t>(task);
-  live_release_seq_[task] = queue_.push(rel);
+  const Ticks at = last == kNeverTicks
+                       ? not_before
+                       : std::max(not_before, last + period_ticks_[task]);
+  live_release_seq_[task] = queue_.push(at, EventKind::kTaskRelease,
+                                        static_cast<std::uint32_t>(task));
 }
 
 void Simulator::set_task_enabled(int task, bool enabled) {
@@ -227,11 +260,8 @@ void Simulator::on_task_release(const Event& e) {
   subtasks_[flat0].last_release = now_;
   release_job(flat0, now_, abs_deadline);
 
-  Event next;
-  next.time = now_ + period_ticks_[t];
-  next.kind = EventKind::kTaskRelease;
-  next.index = e.index;
-  live_release_seq_[t] = queue_.push(next);
+  live_release_seq_[t] =
+      queue_.push(now_ + period_ticks_[t], EventKind::kTaskRelease, e.index);
 }
 
 void Simulator::on_subtask_release(const Event& e) {
@@ -256,7 +286,6 @@ void Simulator::inject_overhead(int processor, double exec_units) {
 
 void Simulator::on_completion(const Event& e) {
   const JobHandle h = processors_[e.index].on_completion_event(e.seq, now_);
-  if (h == kNoJob) return;  // stale event
   const Job& job = jobs_[h];
   if (job.task < 0) {  // injected overhead: account only
     jobs_.release(h);
@@ -279,13 +308,9 @@ void Simulator::on_completion(const Event& e) {
             : std::max(now_, succ.last_release + period_ticks_[t]);
     if (guarded > now_) ++release_guard_stalls_;
     succ.last_release = guarded;
-    guard_[next].push({job.instance_release, job.abs_deadline});
-
-    Event rel;
-    rel.time = guarded;
-    rel.kind = EventKind::kSubtaskRelease;
-    rel.index = static_cast<std::uint32_t>(next);
-    queue_.push(rel);
+    guard_[next].push(job.instance_release, job.abs_deadline);
+    queue_.push(guarded, EventKind::kSubtaskRelease,
+                static_cast<std::uint32_t>(next));
   } else {
     deadline_stats_.on_instance_completed(job.task, now_, job.abs_deadline,
                                           job.instance_release);
@@ -293,21 +318,28 @@ void Simulator::on_completion(const Event& e) {
   jobs_.release(h);
 }
 
+void Simulator::set_task_rate(std::size_t task, double rate) {
+  rates_[task] = rate;
+  const Ticks period = rate_to_period_ticks(rate);
+  period_ticks_[task] = period;
+  for (std::size_t f = task_base_[task]; f < task_base_[task + 1]; ++f) {
+    SubtaskSlot& slot = subtasks_[f];
+    slot.deadline_offset = static_cast<Ticks>(
+        std::llround(slot.deadline_scale * static_cast<double>(period)));
+  }
+}
+
 void Simulator::on_rate_change() {
-  EUCON_ASSERT(!pending_rate_sets_.empty(), "rate change with no rates queued");
-  const std::vector<double>& requested = pending_rate_sets_.front();
+  const double* requested = pending_rates_.front();
   for (std::size_t i = 0; i < spec_.num_tasks(); ++i) {
     const auto& task = spec_.tasks[i];
-    const double clamped =
-        std::clamp(requested[i], task.rate_min, task.rate_max);
-    rates_[i] = clamped;
-    period_ticks_[i] = rate_to_period_ticks(clamped);
+    set_task_rate(i, std::clamp(requested[i], task.rate_min, task.rate_max));
     // Re-anchor the task's periodic release on the new period, respecting
     // the separation already established by the previous release.
     live_release_seq_[i] = kNoSeq;
     if (task_enabled_[i]) schedule_task_release(i, now_);
   }
-  pending_rate_sets_.pop_front();
+  pending_rates_.pop();
   // RMS priorities follow the new periods. EDF keys are absolute
   // subdeadlines of already-released jobs and do not change.
   if (options_.policy == SchedulingPolicy::kRateMonotonic) {
@@ -316,17 +348,22 @@ void Simulator::on_rate_change() {
 }
 
 std::vector<double> Simulator::sample_utilizations() {
+  std::vector<double> u;
+  sample_utilizations_into(u);
+  return u;
+}
+
+void Simulator::sample_utilizations_into(std::vector<double>& u) {
   EUCON_REQUIRE(now_ > sample_window_start_,
                 "sampling window is empty; run the simulator first");
   const double window = static_cast<double>(now_ - sample_window_start_);
-  std::vector<double> u;
-  u.reserve(processors_.size());
-  for (auto& proc : processors_) {
+  u.resize(processors_.size());
+  for (std::size_t p = 0; p < processors_.size(); ++p) {
+    Processor& proc = processors_[p];
     proc.account_until(now_);
-    u.push_back(static_cast<double>(proc.take_window_busy()) / window);
+    u[p] = static_cast<double>(proc.take_window_busy()) / window;
   }
   sample_window_start_ = now_;
-  return u;
 }
 
 void Simulator::set_rates(const std::vector<double>& rates) {
@@ -334,11 +371,9 @@ void Simulator::set_rates(const std::vector<double>& rates) {
                 "set_rates needs one rate per task");
   for (const double r : rates)
     EUCON_REQUIRE(!std::isnan(r), "set_rates: a requested rate is NaN");
-  pending_rate_sets_.push_back(rates);
-  Event e;
-  e.time = now_ + units_to_ticks(options_.feedback_lane_delay);
-  e.kind = EventKind::kRateChange;
-  queue_.push(e);
+  pending_rates_.enqueue(rates);
+  queue_.push(now_ + units_to_ticks(options_.feedback_lane_delay),
+              EventKind::kRateChange, 0);
 }
 
 double Simulator::execution_time_factor_now() const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/annotations.h"
@@ -79,12 +78,17 @@ class Simulator {
   // (busy time / window length); resets the window. Call at sampling-period
   // boundaries after run_until(boundary).
   std::vector<double> sample_utilizations();
+  // The same into `u` (resized to one entry per processor), so a caller
+  // that keeps `u` across periods allocates nothing.
+  void sample_utilizations_into(std::vector<double>& u);
 
   // Requests new task rates. They are clamped to each task's
   // [rate_min, rate_max] and take effect after the feedback-lane delay:
   // priorities are refreshed and each task's next release is rescheduled
   // against its release guard. Must contain one rate per task, none of
-  // them NaN (±inf clamps to the bounds).
+  // them NaN (±inf clamps to the bounds). The request is copied into a
+  // reused buffer, so once as many requests have been pending at once as
+  // ever will be, this allocates nothing.
   void set_rates(const std::vector<double>& rates);
 
   Ticks now() const { return now_; }
@@ -119,6 +123,11 @@ class Simulator {
   std::uint64_t jobs_released() const { return next_job_id_; }
   std::size_t jobs_in_flight() const { return jobs_.in_flight(); }
 
+  // Events run_until has popped so far, superseded task releases included:
+  // the DES's work, a pure function of the spec, options and the calls
+  // made, so it compares across hosts.
+  std::uint64_t events_popped() const { return events_popped_; }
+
   // Times the release guard deferred a successor subtask past its
   // predecessor's completion (the guard's "not before one period since the
   // previous release" arm fired). Cumulative; the tracer records per-period
@@ -136,7 +145,7 @@ class Simulator {
   // longest queue the subtask has had, and a standing backlog reuses it.
   class GuardFifo {
    public:
-    void push(const PendingRelease& r);
+    void push(Ticks instance_release, Ticks abs_deadline);
     PendingRelease pop();
 
    private:
@@ -155,7 +164,30 @@ class Simulator {
     // This subtask's share of d_i times n_i: times the task's period it
     // gives the subdeadline offset (even division: exactly one period).
     double deadline_scale = 0;
+    // llround(deadline_scale * period): refreshed whenever the task's
+    // period changes, so a release reads it instead of rounding.
+    Ticks deadline_offset = 0;
     Ticks last_release = kNeverTicks;  // release guard: previous release
+  };
+
+  // Rate requests waiting for their kRateChange event, oldest first, in a
+  // ring of num_tasks()-sized buffers in one vector. The lane delay is
+  // constant and equal-time events pop in creation order, so rate changes
+  // fire in request order: each one applies and frees the oldest buffer.
+  // The ring doubles only when every buffer is pending.
+  class RateRing {
+   public:
+    explicit RateRing(std::size_t width) : width_(width) {}
+    void enqueue(const std::vector<double>& rates);
+    const double* front() const;
+    void pop();
+
+   private:
+    std::size_t width_;
+    std::vector<double> buf_;  // capacity_ buffers of width_ doubles
+    std::size_t capacity_ = 0;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
 
   void handle(const Event& e);
@@ -163,6 +195,10 @@ class Simulator {
   void on_subtask_release(const Event& e);
   void on_completion(const Event& e);
   void on_rate_change();
+
+  // Sets task i's rate (and period) and recomputes its subtasks'
+  // subdeadline offsets.
+  void set_task_rate(std::size_t task, double rate);
 
   void release_job(std::size_t flat, Ticks instance_release, Ticks abs_deadline);
   void schedule_task_release(std::size_t task, Ticks not_before);
@@ -194,14 +230,11 @@ class Simulator {
 
   TraceLog trace_;
 
-  // Rate vectors waiting for their kRateChange event, oldest first. The
-  // lane delay is constant and equal-time events pop in creation order, so
-  // rate changes fire in request order: each one applies and frees the
-  // front entry.
-  std::deque<std::vector<double>> pending_rate_sets_;
+  RateRing pending_rates_;
 
   std::uint64_t next_job_id_ = 0;
   std::uint64_t release_guard_stalls_ = 0;
+  std::uint64_t events_popped_ = 0;
 };
 
 }  // namespace eucon::rts

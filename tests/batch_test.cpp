@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -68,6 +69,34 @@ TEST(BatchTest, ParallelMatchesSerialBitIdentical) {
   ASSERT_EQ(par.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i)
     expect_bit_identical(base[i], par[i]);
+}
+
+// sim.events_popped counts the DES's work; it depends on config and seed
+// only, so repeated runs agree and the pool reproduces the serial count.
+TEST(BatchTest, EventsPoppedIsDeterministicSerialAndPooled) {
+  const auto specs = small_grid();
+  BatchOptions serial;
+  serial.serial = true;
+  obs::Registry serial_metrics;
+  serial.metrics = &serial_metrics;
+  const auto a = run_batch(specs, serial);
+  BatchOptions serial_again;
+  serial_again.serial = true;
+  const auto again = run_batch(specs, serial_again);
+  BatchOptions pooled;
+  pooled.num_workers = 4;
+  obs::Registry pooled_metrics;
+  pooled.metrics = &pooled_metrics;
+  const auto b = run_batch(specs, pooled);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_GT(a[i].summary.events_popped, a[i].summary.jobs_released);
+    EXPECT_EQ(a[i].summary.events_popped, again[i].summary.events_popped);
+    EXPECT_EQ(a[i].summary.events_popped, b[i].summary.events_popped);
+    total += a[i].summary.events_popped;
+  }
+  EXPECT_EQ(serial_metrics.counter("sim.events_popped"), total);
+  EXPECT_EQ(pooled_metrics.counter("sim.events_popped"), total);
 }
 
 TEST(BatchTest, SingleWorkerPoolMatchesSerial) {

@@ -15,7 +15,7 @@
 //   * the simulator's event loop is allocation-free in steady state: once
 //     the job pool, event heap, ready heaps and release-guard FIFOs have
 //     reached their high-water marks, run_until touches the heap zero
-//     times.
+//     times, and neither do sample_utilizations_into and set_rates.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -343,6 +343,38 @@ TEST(SimulatorHeapTest, RunUntilAllocatesNothingAfterWarmup) {
     EXPECT_EQ(counted, 0u) << spec.num_processors << " processors: "
                            << counted << " allocations over " << jobs_counted
                            << " jobs";
+  }
+}
+
+// The simulator's whole share of a period, counted: run_until,
+// sample_utilizations_into (into a vector kept across periods) and
+// set_rates, whose request is copied into a reused ring of pending
+// buffers. At lane delay 0 a request fires at the next period's first
+// instant; at 250 a quarter period after it is made. 200 warm-up periods,
+// then 500 counted ones.
+TEST(SimulatorHeapTest, RatePathAllocatesNothingAfterWarmup) {
+  const rts::SystemSpec spec = workloads::medium();
+  for (const double delay : {0.0, 250.0}) {
+    rts::SimOptions opts;
+    opts.jitter = 0.1;
+    opts.feedback_lane_delay = delay;
+    rts::Simulator sim(spec, opts);
+    std::vector<double> rates = spec.initial_rate_vector().data();
+    std::vector<double> u;
+    const Ticks ts = units_to_ticks(1000.0);
+    std::size_t counted = 0;
+    for (int k = 1; k <= 700; ++k) {
+      rates[0] =
+          spec.tasks[0].rate_min * (1.5 + 0.5 * static_cast<double>(k % 3));
+      const CountScope scope;
+      sim.run_until(static_cast<Ticks>(k) * ts);
+      sim.sample_utilizations_into(u);
+      sim.set_rates(rates);
+      if (k > 200) counted += CountScope::count();
+    }
+    EXPECT_EQ(u.size(), static_cast<std::size_t>(spec.num_processors));
+    EXPECT_EQ(counted, 0u) << "lane delay " << delay << ": " << counted
+                           << " allocations over 500 periods";
   }
 }
 

@@ -13,15 +13,17 @@ namespace {
 constexpr Ticks U = kTicksPerUnit;  // one time unit
 
 struct Harness {
-  EventQueue queue;
+  EventQueue queue{1};
   JobPool pool;
-  Processor proc{0, &queue, &pool};
+  TraceLog trace;
+  Processor proc{0, &queue, &pool, &trace};
   // The harness never releases a job, so handles count up from 0 and
   // index these vectors.
   std::vector<JobHandle> jobs;
   std::vector<Ticks> keys;    // priority key
   std::vector<Ticks> demand;  // execution demand
   std::vector<std::pair<Ticks, JobHandle>> completions;
+  std::size_t completion_pops = 0;
   std::uint64_t next_id = 0;
 
   JobHandle make_job(int task, Ticks exec, Ticks priority) {
@@ -40,9 +42,10 @@ struct Harness {
 
   // Processes all events up to and including time `until`.
   void run_until(Ticks until) {
-    while (!queue.empty() && queue.top().time <= until) {
+    while (!queue.empty() && queue.next_time() <= until) {
       const Event e = queue.pop();
       if (e.kind != EventKind::kCompletion) continue;
+      ++completion_pops;
       const JobHandle done = proc.on_completion_event(e.seq, e.time);
       if (done != kNoJob) completions.emplace_back(e.time, done);
     }
@@ -121,15 +124,16 @@ TEST(ProcessorTest, ArrivalAtExactCompletionInstantDoesNotDelayCompletion) {
   EXPECT_EQ(h.completions[1].first, 15 * U);
 }
 
-TEST(ProcessorTest, StaleCompletionEventsIgnored) {
+TEST(ProcessorTest, PreemptionReplacesThePendingCompletion) {
   Harness h;
   const JobHandle low = h.make_job(0, 10 * U, 200);
-  h.make_ready(low, 0);  // schedules completion at t=10 (stale later)
+  h.make_ready(low, 0);  // schedules completion at t=10 (replaced later)
   const JobHandle high = h.make_job(1, 3 * U, 100);
-  h.make_ready(high, 2 * U);  // preempts; low's event becomes stale
+  h.make_ready(high, 2 * U);  // preempts; high's completion replaces low's
   h.run_until(100 * U);
-  // Exactly two completions despite three scheduled events.
+  // Exactly two completions from three scheduled ones, and no stale pop.
   ASSERT_EQ(h.completions.size(), 2u);
+  EXPECT_EQ(h.completion_pops, 2u);
   EXPECT_EQ(h.completions[0].second, high);
   EXPECT_EQ(h.completions[0].first, 5 * U);
   EXPECT_EQ(h.completions[1].second, low);
@@ -211,6 +215,30 @@ TEST(ProcessorTest, ManyJobsAllComplete) {
   Ticks demand = 0;
   for (const JobHandle j : h.jobs) demand += h.demand[j];
   EXPECT_EQ(h.proc.total_busy(), demand);
+}
+
+// A 4-unit lowest-priority job every 8 units, with 1-unit jobs of rising
+// priority arriving every 2 units on top of it, so half the arrivals
+// preempt. Every pop is a live completion: the pop count equals the
+// completion count and each returns the finished job.
+TEST(ProcessorTest, PreemptionHeavySetPopsOnlyLiveCompletions) {
+  Harness h;
+  std::size_t arrivals = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Ticks arrival = static_cast<Ticks>(i) * 2 * U;
+    h.run_until(arrival - 1);
+    const Ticks exec = i % 4 == 0 ? 4 * U : U;
+    h.make_ready(h.make_job(i % 4, exec, 400 - 100 * (i % 4)), arrival);
+    ++arrivals;
+  }
+  h.run_until(100000 * U);
+  std::size_t preemptions = 0;
+  for (const TraceRecord& r : h.trace.records())
+    preemptions += r.kind == TraceKind::kPreempt ? 1 : 0;
+  EXPECT_EQ(preemptions, arrivals / 2);
+  EXPECT_EQ(h.completions.size(), arrivals);
+  EXPECT_EQ(h.completion_pops, arrivals);
+  EXPECT_FALSE(h.proc.busy());
 }
 
 }  // namespace

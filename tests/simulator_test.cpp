@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "eucon/workloads.h"
@@ -234,6 +237,47 @@ TEST(SimulatorTest, JobAccountingConsistent) {
   // All but the in-flight tail completed.
   EXPECT_GE(st.task(0).instances_completed + 3,
             st.task(0).instances_released);
+}
+
+// A preemption-heavy RMS set: a 2-unit task every 10 units and a
+// 3-then-2-unit chain every 13 outrank a 40-unit job every 97, which they
+// preempt several times per instance. With no rate changes nothing is
+// superseded, so every popped event is live: a task or subtask release
+// (one traced job release each) or the running job's completion (one
+// traced completion each). Preemptions leave no stale completion behind.
+TEST(SimulatorTest, PreemptionHeavySetPopsOnlyLiveEvents) {
+  SystemSpec s;
+  s.num_processors = 2;
+  const auto task = [](std::string name, std::vector<SubtaskSpec> subs,
+                       double period) {
+    TaskSpec t;
+    t.name = std::move(name);
+    t.subtasks = std::move(subs);
+    t.rate_min = 1.0 / (period * 10.0);
+    t.rate_max = 1.0 / 2.0;
+    t.initial_rate = 1.0 / period;
+    return t;
+  };
+  s.tasks.push_back(task("fast", {{0, 2.0}}, 10.0));
+  s.tasks.push_back(task("slow", {{0, 40.0}, {1, 10.0}}, 97.0));
+  s.tasks.push_back(task("chain", {{1, 3.0}, {0, 2.0}}, 13.0));
+  SimOptions opts;
+  opts.jitter = 0.1;
+  opts.enable_trace = true;
+  Simulator sim(s, opts);
+  sim.run_until_units(20000.0);
+
+  std::uint64_t releases = 0;
+  std::uint64_t completions = 0;
+  std::uint64_t preemptions = 0;
+  for (const TraceRecord& r : sim.trace().records()) {
+    releases += r.kind == TraceKind::kRelease ? 1 : 0;
+    completions += r.kind == TraceKind::kCompletion ? 1 : 0;
+    preemptions += r.kind == TraceKind::kPreempt ? 1 : 0;
+  }
+  EXPECT_EQ(releases, sim.jobs_released());
+  EXPECT_GT(preemptions, 500u);
+  EXPECT_EQ(sim.events_popped(), releases + completions);
 }
 
 }  // namespace

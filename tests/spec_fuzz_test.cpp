@@ -224,6 +224,7 @@ TEST_P(ObsInvariantFuzz, TraceSatisfiesPerPeriodInvariants) {
   EXPECT_EQ(registry.counter("mpc.updates"),
             static_cast<std::uint64_t>(cfg.num_periods));
   EXPECT_EQ(registry.counter("sim.jobs_released"), sum.jobs_released);
+  EXPECT_EQ(registry.counter("sim.events_popped"), sum.events_popped);
   // Timers fired once per period on the instrumented hot paths; the
   // per-solve timers belong to the central MPC alone.
   const std::uint64_t periods = static_cast<std::uint64_t>(cfg.num_periods);
