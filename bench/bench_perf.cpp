@@ -498,7 +498,10 @@ int main(int argc, char** argv) {
 
   const std::size_t warmup = smoke ? 3 : 50;
   const std::size_t iters = smoke ? 12 : 400;
-  const std::size_t loop_iters = smoke ? 8 : 120;
+  // One closed-loop period is tens of microseconds; 4,000 of them (about
+  // a quarter second) let the percentiles settle on a shared host, where
+  // 120 moved p50 by a quarter between back-to-back runs.
+  const std::size_t loop_iters = smoke ? 8 : 4000;
   // 48 MEDIUM runs (about 1 s serial) keep pool start-up and the serial
   // tail small next to the work; a batch of tens of milliseconds shows no
   // speedup at all.
